@@ -6,6 +6,7 @@ all: check
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -23,7 +24,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSchemesAgree -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzMachine -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzBufferParity -fuzztime 10s ./internal/tlb/
-	$(GO) test -run '^$$' -fuzz FuzzParallelParity -fuzztime 30s ./internal/check/fuzzgen/
 
 # Longer oracle soak over seeded random workloads; failing seeds are written
 # to fuzz-artifacts/ in Go fuzz-corpus format.
@@ -32,7 +32,7 @@ soak:
 	$(GO) run ./cmd/vcoma-check -seeds 1000 -budget 3m -artifacts fuzz-artifacts
 	$(GO) run ./cmd/vcoma-check -seeds 150 -diff -budget 3m -artifacts fuzz-artifacts
 
-# Supervision-layer smoke through the real CLIs: interrupt/resume
+# Supervision-layer smoke through the real CLIs: interrupt-then-rerun
 # byte-identity, cache-corruption quarantine, hung-pass reclaim, watchdog
 # diagnostics (see scripts/chaos-smoke.sh).
 chaos-smoke:
@@ -56,10 +56,9 @@ fsfault-smoke:
 	rm -rf fsfault-smoke.tmp
 
 # Power-cut crash-consistency sweeps: replay every fsync-truncated prefix of
-# recorded op traces and reopen the runner cache, the sweep journal and the
-# serve accept journal in each crash state, asserting their recovery
-# invariants (whole-entries-or-nothing, byte-identical resume, pending ⊆
-# accepted).
+# recorded op traces and reopen the runner cache and the serve accept
+# journal in each crash state, asserting their recovery invariants
+# (whole-entries-or-nothing, byte-identical rerun, pending ⊆ accepted).
 crashsim:
 	$(GO) test ./internal/fsio/... -count=1
 	$(GO) test ./internal/runner/ ./internal/serve/ -run 'CrashSweep|Torn' -count=1

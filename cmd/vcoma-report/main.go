@@ -8,24 +8,23 @@
 //
 // Runs are supervised: SIGINT/SIGTERM cancels cleanly, watchdog budgets
 // and per-pass deadlines reclaim hung simulations, -keep-going renders a
-// partial report with failed cells marked (exit status 2), and -resume
-// continues an interrupted run from its journal.
+// partial report with failed cells marked (exit status 2). Every finished
+// pass lands in the cache as it completes, so rerunning an interrupted
+// command is the resume: the cache answers the finished passes and only
+// the rest are computed.
 //
 //	vcoma-report -scale small -o EXPERIMENTS.md
 //	vcoma-report -scale small -jobs 8 -progress-json progress.json
 //	vcoma-report -scale paper -job-timeout 15m -retries 2 -keep-going
-//	vcoma-report -scale paper -resume
 //	vcoma-report -clear-cache
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -57,7 +56,6 @@ func run() int {
 		metricsInt = flag.Uint64("metrics-interval", 0, "sampling epoch in simulated cycles for -job-metrics (0 = default)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		keepGoing  = flag.Bool("keep-going", false, "render a partial report with failed cells marked when some passes fail (exit status 2)")
-		resume     = flag.Bool("resume", false, "resume an interrupted run from the journal in the cache directory")
 		chaosSpec  = flag.String("chaos", "", "fault-injection spec for testing the supervisor: panic:<substr>,hang:<substr>,flaky:<substr>:<n>,cancel:<n>,corrupt:<substr>")
 	)
 	budgetOf := cli.BudgetFlags()
@@ -148,24 +146,11 @@ func run() int {
 		}
 		defer lock.Release()
 
-		plan, err := suite.Plan()
-		if err != nil {
-			return fatal(err)
-		}
-		jpath := filepath.Join(*cacheDir, "journal.json")
-		if *resume {
-			var prev map[string]runner.JournalEntry
-			suite.Journal, prev, err = runner.ResumeJournalFS(jpath, plan.Key(), fsys)
+		if chaos != nil {
+			plan, err := suite.Plan()
 			if err != nil {
 				return fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "resuming: journal records %d finished pass(es); cached results satisfy them without recomputing\n", len(prev))
-		} else if suite.Journal, err = runner.CreateJournalFS(jpath, plan.Key(), len(plan.Jobs()), fsys); err != nil {
-			return fatal(err)
-		}
-		defer suite.Journal.Close()
-
-		if chaos != nil {
 			cache, err := runner.OpenCacheFS(*cacheDir, fsys)
 			if err != nil {
 				return fatal(err)
@@ -176,8 +161,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "chaos: corrupted %d cache entr(ies)\n", n)
 			}
 		}
-	} else if *resume {
-		return fatal(errors.New("-resume needs the cache: the journal lives in the cache directory"))
 	}
 
 	res, err := suite.Run()
@@ -196,7 +179,7 @@ func run() int {
 		}
 	}
 	if err != nil && res == nil {
-		// Nothing to render; the journal stays behind for -resume.
+		// Nothing to render; finished passes stay cached for a rerun.
 		return fatal(err)
 	}
 	if err != nil {
@@ -215,18 +198,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *outPath, len(md))
 	}
 	if res.Partial() {
-		fmt.Fprintf(os.Stderr, "vcoma-report: PARTIAL REPORT: %d cell(s) failed; rerun with -resume to fill them in\n", len(res.Failures))
+		fmt.Fprintf(os.Stderr, "vcoma-report: PARTIAL REPORT: %d cell(s) failed; rerun to fill them in\n", len(res.Failures))
 		// A signal outranks partial status: an interrupted -keep-going run
 		// reports 128+signum, not 2.
 		if sig := cli.ExitCode(ctx, context.Cause(ctx)); sig > cli.ExitPartial {
 			return sig
 		}
 		return cli.ExitPartial
-	}
-	if suite.Journal != nil {
-		if jerr := suite.Journal.Complete(); jerr != nil {
-			return fatal(jerr)
-		}
 	}
 	return 0
 }

@@ -6,9 +6,10 @@
 //
 // Runs are supervised: SIGINT/SIGTERM cancels cleanly, per-pass deadlines
 // (-job-timeout) and watchdog budgets (-max-cycles, -stall-events, ...)
-// reclaim hung simulations, transient failures retry (-retries), and an
-// interrupted sweep resumes from its journal (-resume) without recomputing
-// finished passes.
+// reclaim hung simulations, and transient failures retry (-retries). Every
+// finished pass lands in the cache as it completes, so rerunning an
+// interrupted sweep is the resume: the cache answers the finished passes
+// and only the rest are computed.
 //
 // Examples:
 //
@@ -16,17 +17,14 @@
 //	vcoma-sweep -exp table2 -scale small          # all six benchmarks
 //	vcoma-sweep -exp fig10 -bench RAYTRACE -scale small -jobs 4
 //	vcoma-sweep -exp table4 -scale paper -job-timeout 10m -retries 2
-//	vcoma-sweep -exp table4 -scale paper -resume  # after an interruption
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -57,7 +55,6 @@ func run() int {
 		metricsInt = flag.Uint64("metrics-interval", 0, "sampling epoch in simulated cycles for -job-metrics (0 = default)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		keepGoing  = flag.Bool("keep-going", false, "render the cells that succeeded when some passes fail (partial output, exit status 2)")
-		resume     = flag.Bool("resume", false, "resume an interrupted sweep from the journal in the cache directory")
 		chaosSpec  = flag.String("chaos", "", "fault-injection spec for testing the supervisor: panic:<substr>,hang:<substr>,flaky:<substr>:<n>,cancel:<n>,corrupt:<substr>")
 	)
 	budgetOf := cli.BudgetFlags()
@@ -139,33 +136,17 @@ func run() int {
 	runCtx = ctx
 
 	var cache *runner.Cache
-	var journal *runner.Journal
 	if !*noCache {
 		if cache, err = runner.OpenCacheFS(*cacheDir, fsys); err != nil {
 			return fatal(err)
 		}
 		// One sweep per cache directory: a second writer would interleave
-		// journal records and progress output with ours.
+		// cache writes and progress output with ours.
 		lock, err := runner.AcquireDirLock(*cacheDir)
 		if err != nil {
 			return fatal(err)
 		}
 		defer lock.Release()
-
-		jpath := filepath.Join(*cacheDir, "journal.json")
-		if *resume {
-			var prev map[string]runner.JournalEntry
-			journal, prev, err = runner.ResumeJournalFS(jpath, plan.Key(), fsys)
-			if err != nil {
-				return fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "resuming: journal records %d finished pass(es); cached results satisfy them without recomputing\n", len(prev))
-		} else if journal, err = runner.CreateJournalFS(jpath, plan.Key(), len(plan.Jobs()), fsys); err != nil {
-			return fatal(err)
-		}
-		defer journal.Close()
-	} else if *resume {
-		return fatal(errors.New("-resume needs the cache: the journal lives in the cache directory"))
 	}
 
 	if chaos != nil {
@@ -193,10 +174,9 @@ func run() int {
 		MetricsInterval: *metricsInt,
 		JobTimeout:      *jobTimeout,
 		Retry:           retryOf(),
-		Journal:         journal,
 	})
 	if runErr != nil && !*keepGoing {
-		// The journal stays behind: rerunning with -resume picks up here.
+		// Finished passes stay cached: rerunning picks up here.
 		return fatal(runErr)
 	}
 	if runErr != nil {
@@ -302,18 +282,13 @@ func run() int {
 		fmt.Println(experiments.RenderTable4(t4, *markdown))
 	}
 	if failed > 0 || runErr != nil {
-		fmt.Fprintf(os.Stderr, "vcoma-sweep: PARTIAL OUTPUT: %d cell(s) failed; rerun with -resume to fill them in\n", failed)
+		fmt.Fprintf(os.Stderr, "vcoma-sweep: PARTIAL OUTPUT: %d cell(s) failed; rerun to fill them in\n", failed)
 		// A signal outranks partial status: an interrupted -keep-going run
 		// reports 128+signum, not 2.
 		if sig := cli.ExitCode(ctx, context.Cause(ctx)); sig > cli.ExitPartial {
 			return sig
 		}
 		return cli.ExitPartial
-	}
-	if journal != nil {
-		if err := journal.Complete(); err != nil {
-			return fatal(err)
-		}
 	}
 	return 0
 }

@@ -66,26 +66,6 @@ func BudgetFrom(ctx context.Context) sim.Budget {
 	return b
 }
 
-// shardsCtxKey carries the parallel shard count through a runner context.
-type shardsCtxKey struct{}
-
-// WithShards runs every simulation pass under ctx on the parallel engine
-// with n shard goroutines (n ≤ 1 = sequential). Results are byte-identical
-// either way, so shard count — like supervision and instrumentation — never
-// invalidates a pass cache entry.
-func WithShards(ctx context.Context, n int) context.Context {
-	if n <= 1 {
-		return ctx
-	}
-	return context.WithValue(ctx, shardsCtxKey{}, n)
-}
-
-// ShardsFrom returns the shard count installed by WithShards, or 0.
-func ShardsFrom(ctx context.Context) int {
-	n, _ := ctx.Value(shardsCtxKey{}).(int)
-	return n
-}
-
 // runPass simulates one benchmark under one scheme with observers attached.
 func runPass(cfg config.Config, bench workload.Benchmark, specs []tlb.Spec) (*machine.Machine, sim.Result, error) {
 	m, _, res, err := passCtx(context.Background(), cfg, bench, specs, nil)
@@ -139,7 +119,6 @@ func passCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, s
 	eng.SetBudget(BudgetFrom(ctx))
 	eng.SetContext(ctx)
 	eng.SetObserver(o)
-	eng.SetParallel(ShardsFrom(ctx))
 	simSp := parent.StartChild("simulate")
 	simSp.SetAttr("scheme", cfg.Scheme.String())
 	eng.SetSpan(simSp)

@@ -45,13 +45,9 @@ func NewPlan(cfg config.Config, scale workload.Scale) *Plan {
 // Jobs returns the enumerated jobs.
 func (p *Plan) Jobs() []runner.Job { return p.jobs }
 
-// Key content-hashes the plan's job list for journal verification: a
-// resumed run must re-enumerate the exact plan it is resuming.
-func (p *Plan) Key() runner.Key { return runner.PlanKey(p.jobs) }
-
 // ApplyChaos wraps every planned job with c's fault injections; nil is a
-// no-op. Job names, keys and dependencies are untouched, so cache and
-// journal identity survive the wrapping. Testing and the -chaos flag only.
+// no-op. Job names, keys and dependencies are untouched, so cache
+// identity survives the wrapping. Testing and the -chaos flag only.
 func (p *Plan) ApplyChaos(c *runner.Chaos) {
 	if c != nil {
 		p.jobs = c.Wrap(p.jobs)

@@ -67,8 +67,6 @@ type Suite struct {
 	// forward-progress and wall-clock limits, tripping with a structured
 	// diagnostic dump. The zero budget is disarmed.
 	Budget sim.Budget
-	// Journal, if non-nil, records every completed pass for -resume.
-	Journal *runner.Journal
 	// Chaos, if non-nil, wraps every pass with the configured fault
 	// injections (testing and the -chaos flag only).
 	Chaos *runner.Chaos
@@ -193,7 +191,6 @@ func (s *Suite) Run() (*SuiteResult, error) {
 		MetricsInterval: s.MetricsInterval,
 		JobTimeout:      s.JobTimeout,
 		Retry:           s.Retry,
-		Journal:         s.Journal,
 	})
 	if pr == nil || (runErr != nil && !s.KeepGoing) {
 		return nil, runErr
@@ -335,7 +332,7 @@ func (r *SuiteResult) RenderMarkdown() string {
 		w("## Failed cells — PARTIAL REPORT")
 		w("")
 		w("The cells below could not be computed; every other section reflects")
-		w("only the jobs that completed. Rerun with `-resume` to fill them in.")
+		w("only the jobs that completed. Rerun the same command to fill them in.")
 		w("")
 		w("| section | benchmark | error |")
 		w("|---|---|---|")

@@ -1,5 +1,5 @@
 // Package fsio is the harness's filesystem seam: every durable write the
-// runner cache, the journals, the artifact store and the trace sidecars
+// runner cache, the accept journal, the artifact store and the trace sidecars
 // perform goes through an *FS, which (a) implements the write-temp → fsync →
 // rename → fsync-parent discipline once, correctly, instead of five slightly
 // different ways, (b) hosts a deterministic failpoint engine so tests and
@@ -340,7 +340,7 @@ func (fs *FS) WriteFile(tag, path string, data []byte) error {
 }
 
 // AppendFile is an open append-mode file whose writes and fsyncs route
-// through the seam — the journals' handle.
+// through the seam — the accept journal's handle.
 type AppendFile struct {
 	fs   *FS
 	tag  string

@@ -152,9 +152,9 @@ func renderOf(t *testing.T, rr *RunResult, names []string) string {
 	return b.String()
 }
 
-// A run killed mid-flight by an injected cancellation leaves a journal and
-// a partial cache; resuming completes the plan and renders byte-identically
-// to an uninterrupted run.
+// A run killed mid-flight by an injected cancellation leaves a partial
+// cache; rerunning the same plan completes it from that cache and renders
+// byte-identically to an uninterrupted run.
 func TestChaosCancelThenResumeByteIdentical(t *testing.T) {
 	mkJobs := func() ([]Job, []string) {
 		var jobs []Job
@@ -179,53 +179,29 @@ func TestChaosCancelThenResumeByteIdentical(t *testing.T) {
 	}
 	want := renderOf(t, refRun, names)
 
-	// Interrupted run: cancel after 3 completed jobs, journal attached.
-	dir := t.TempDir()
-	cache, _ := OpenCache(dir)
+	// Interrupted run: cancel after 3 completed jobs.
+	cache, _ := OpenCache(t.TempDir())
 	jobs, _ := mkJobs()
-	plan := PlanKey(jobs)
-	jpath := filepath.Join(dir, "journal.json")
-	jl, err := CreateJournal(jpath, plan, len(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
 	chaos, _ := ParseChaos("cancel:3")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	chaos.BindCancel(cancel)
-	_, err = Run(ctx, chaos.Wrap(jobs), Options{Cache: cache, Workers: 1, Journal: jl})
-	jl.Close()
+	_, err = Run(ctx, chaos.Wrap(jobs), Options{Cache: cache, Workers: 1})
 	if !errors.Is(err, ErrChaosCancel) {
 		t.Fatalf("interrupted run: got %v, want ErrChaosCancel cause", err)
 	}
-	if _, err := os.Stat(jpath); err != nil {
-		t.Fatal("interrupted run must leave its journal behind")
+	if n := cache.Len(); n < 3 || n == len(jobs) {
+		t.Fatalf("interrupted run cached %d of %d jobs, want at least 3 and not all", n, len(jobs))
 	}
 
-	// Resume: same plan, same cache; completed cells come from the cache.
+	// Rerun: same plan, same cache; completed cells come from the cache.
 	jobs2, _ := mkJobs()
-	if pk := PlanKey(jobs2); pk != plan {
-		t.Fatal("re-enumerated plan hashes differently")
-	}
-	jl2, prev, err := ResumeJournal(jpath, plan)
+	resumed, err := Run(context.Background(), jobs2, Options{Cache: cache, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(prev) < 3 {
-		t.Fatalf("journal recorded %d completions before the kill, want >= 3", len(prev))
-	}
-	resumed, err := Run(context.Background(), jobs2, Options{Cache: cache, Workers: 2, Journal: jl2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jl2.Complete(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(jpath); !os.IsNotExist(err) {
-		t.Fatal("completed resume must delete the journal")
 	}
 	if resumed.CacheHits < 3 {
-		t.Errorf("resume recomputed everything (%d cache hits), want >= 3", resumed.CacheHits)
+		t.Errorf("rerun recomputed everything (%d cache hits), want >= 3", resumed.CacheHits)
 	}
 	if got := renderOf(t, resumed, names); got != want {
 		t.Errorf("resumed render differs from uninterrupted run:\ngot:\n%s\nwant:\n%s", got, want)

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"vcoma/internal/fsio"
@@ -110,14 +108,14 @@ func marshalResults(t *testing.T, res *RunResult, names []string) []byte {
 	return buf.Bytes()
 }
 
-// TestCrashSweepJournalResumeByteIdentical is the -resume invariant under
-// power cuts: record a full journaled, cached run, then from every crash
-// prefix resume (or restart) the sweep and require the final results to be
-// byte-identical to the uninterrupted reference run.
-func TestCrashSweepJournalResumeByteIdentical(t *testing.T) {
+// TestCrashSweepRerunByteIdentical is the resume invariant under power
+// cuts: record a full cached run, then from every crash prefix rerun the
+// sweep against whatever cache survived and require the final results to be
+// byte-identical to the uninterrupted reference run, with every entry back
+// in the cache afterwards.
+func TestCrashSweepRerunByteIdentical(t *testing.T) {
 	jobs := crashPlanJobs()
 	names := make([]string, len(jobs))
-	plan := KeyOf("crash-plan-hash")
 	for i, j := range jobs {
 		names[i] = j.Name
 	}
@@ -129,7 +127,7 @@ func TestCrashSweepJournalResumeByteIdentical(t *testing.T) {
 	}
 	ref := marshalResults(t, refRes, names)
 
-	// Recorded run: cache + journal through the recording seam.
+	// Recorded run: cached through the recording seam.
 	root := t.TempDir()
 	fs := fsio.New(nil)
 	rec := fsio.NewRecorder(root, true)
@@ -138,16 +136,8 @@ func TestCrashSweepJournalResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenCacheFS: %v", err)
 	}
-	jpath := filepath.Join(root, "journal.json")
-	j, err := CreateJournalFS(jpath, plan, len(jobs), fs)
-	if err != nil {
-		t.Fatalf("CreateJournalFS: %v", err)
-	}
-	if _, err := Run(context.Background(), crashPlanJobs(), Options{Workers: 1, Cache: c, Journal: j}); err != nil {
+	if _, err := Run(context.Background(), crashPlanJobs(), Options{Workers: 1, Cache: c}); err != nil {
 		t.Fatalf("recorded run: %v", err)
-	}
-	if err := j.Complete(); err != nil {
-		t.Fatalf("Complete: %v", err)
 	}
 
 	err = crashsim.RunOpts(rec.Ops(), t.TempDir(), func(dir string) error {
@@ -156,27 +146,21 @@ func TestCrashSweepJournalResumeByteIdentical(t *testing.T) {
 			return err
 		}
 		cc.SetLog(nil)
-		jp := filepath.Join(dir, "journal.json")
-		// Resume like vcoma-sweep -resume would; any unusable journal
-		// (absent, empty, torn header) means starting fresh.
-		rj, _, rerr := ResumeJournal(jp, plan)
-		if rerr != nil {
-			if rj, rerr = CreateJournal(jp, plan, len(jobs)); rerr != nil {
-				return rerr
-			}
-		}
-		res, rerr := Run(context.Background(), crashPlanJobs(), Options{Workers: 1, Cache: cc, Journal: rj})
+		// Rerun the same plan, as rerunning vcoma-sweep would: the cache
+		// answers the finished jobs and the rest are recomputed.
+		res, rerr := Run(context.Background(), crashPlanJobs(), Options{Workers: 1, Cache: cc})
 		if rerr != nil {
 			return rerr
 		}
-		rj.Close()
 		if got := marshalResults(t, res, names); !bytes.Equal(got, ref) {
-			return fmt.Errorf("resumed results differ from reference:\n got %s\nwant %s", got, ref)
+			return fmt.Errorf("rerun results differ from reference:\n got %s\nwant %s", got, ref)
+		}
+		if n := cc.Len(); n != len(jobs) {
+			return fmt.Errorf("rerun left %d cache entries, want %d", n, len(jobs))
 		}
 		return nil
 	}, crashsim.Options{Every: 2})
 	if err != nil {
 		t.Fatalf("crash sweep: %v", err)
 	}
-	_ = os.Remove(jpath) // recorded-run journal already removed by Complete
 }

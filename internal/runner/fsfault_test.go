@@ -125,65 +125,6 @@ func TestCachePutDurabilityOpOrder(t *testing.T) {
 	}
 }
 
-func TestTornJournalAppendIsDroppedOnResume(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.json")
-	plan := KeyOf("torn-journal-plan")
-
-	// Header (append 1) lands whole; the first record (append 2) tears
-	// after 5 bytes.
-	fs := fsio.New(nil)
-	j, err := CreateJournalFS(jpath, plan, 2, fs)
-	if err != nil {
-		t.Fatalf("CreateJournalFS: %v", err)
-	}
-	fs.SetFailpoints(fsio.MustFailpoints("torn:journal:5"))
-	j.record(Result{Name: "jobs/one", Attempts: 1})
-	fs.SetFailpoints(nil)
-	j.record(Result{Name: "jobs/two", Attempts: 1})
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	_, entries, err := ResumeJournalFS(jpath, plan, nil)
-	if err != nil {
-		t.Fatalf("ResumeJournalFS: %v", err)
-	}
-	if _, ok := entries["jobs/one"]; ok {
-		t.Fatalf("torn record for jobs/one must not resume: %+v", entries)
-	}
-	if e, ok := entries["jobs/two"]; !ok || e.Status != "done" {
-		t.Fatalf("intact record lost: %+v", entries)
-	}
-}
-
-func TestJournalAppendsAfterPowerCutDoNotCorruptEarlierRecords(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.json")
-	plan := KeyOf("powercut-journal-plan")
-	// Header: open+append+fsync = 3 ops; first record: append+fsync = 2.
-	// Cut the power right after (op 5), so the second record never lands.
-	fs := fsio.New(fsio.MustFailpoints("powercut:5"))
-	j, err := CreateJournalFS(jpath, plan, 2, fs)
-	if err != nil {
-		t.Fatalf("CreateJournalFS: %v", err)
-	}
-	j.record(Result{Name: "jobs/one", Attempts: 1})
-	j.record(Result{Name: "jobs/two", Attempts: 1}) // power is off; swallowed
-	j.Close()
-
-	_, entries, err := ResumeJournalFS(jpath, plan, nil)
-	if err != nil {
-		t.Fatalf("ResumeJournalFS: %v", err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("entries after power cut = %+v, want only jobs/one", entries)
-	}
-	if e := entries["jobs/one"]; e.Status != "done" {
-		t.Fatalf("jobs/one = %+v", e)
-	}
-}
-
 func TestEvictionUnderRemoveFailureKeepsCacheConsistent(t *testing.T) {
 	dir := t.TempDir()
 	fs := fsio.New(nil)

@@ -28,17 +28,3 @@ func KeyOf(parts ...any) Key {
 	}
 	return Key(hex.EncodeToString(h.Sum(nil)))
 }
-
-// PlanKey hashes a whole job plan — every job's name and content key, in
-// order — identifying the sweep itself rather than any one job. The suite
-// journal records it so `-resume` can verify it is continuing the same
-// sweep: same experiment enumeration, same configurations, same benchmarks
-// and scale.
-func PlanKey(jobs []Job) Key {
-	parts := make([]any, 0, 2*len(jobs)+1)
-	parts = append(parts, "vcoma-plan-v1")
-	for i := range jobs {
-		parts = append(parts, jobs[i].Name, jobs[i].Key)
-	}
-	return KeyOf(parts...)
-}

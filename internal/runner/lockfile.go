@@ -15,7 +15,7 @@ import (
 const lockFileName = "LOCK"
 
 // DirLock is an exclusive advisory lock on a cache directory, preventing
-// two concurrent sweeps from interleaving journal writes and progress
+// two concurrent sweeps from interleaving cache writes and progress
 // accounting in the same state directory. The lock is a file created with
 // O_EXCL recording the owner; a lock whose owner process is no longer
 // alive on this host is stale and is silently replaced, so a crashed sweep

@@ -104,9 +104,6 @@ type Options struct {
 	// as ClassTransient re-run with exponential backoff up to Retry.Max
 	// times. The zero value never retries.
 	Retry Retry
-	// Journal, if non-nil, records every completed job so an interrupted
-	// suite can be resumed (vcoma-sweep -resume).
-	Journal *Journal
 }
 
 // DefaultMetricsInterval is the sampler epoch used when Options.Metrics is
@@ -276,9 +273,6 @@ func Run(ctx context.Context, jobs []Job, opt Options) (*RunResult, error) {
 			}
 			results[res.Name] = res
 			remaining--
-			if opt.Journal != nil && !res.Skipped {
-				opt.Journal.record(res)
-			}
 			if res.Err != nil && !res.Skipped && firstErr == nil {
 				firstErr = res.Err
 				if opt.Policy == FailFast {

@@ -186,11 +186,6 @@ type Engine struct {
 	// (nil by default). internal/check digests the architectural event
 	// stream through it; the callback must be purely observational.
 	stepObs func(proc int, ev trace.Event)
-
-	// shards selects the parallel round engine when > 1 (see parallel.go);
-	// par holds its bookkeeping while a parallel run is active.
-	shards int
-	par    *parRunner
 }
 
 // SetSpan attaches a request-scoped trace span to the run. On completion
@@ -385,12 +380,35 @@ func (e *Engine) Run() (Result, error) {
 		}
 	}()
 	e.wallStart = time.Now()
-	if e.shards > 1 && e.parallelOK() {
-		if err := e.runParallel(); err != nil {
-			return Result{}, err
+	supervised := !e.budget.Zero() || e.ctx != nil
+	for {
+		top := e.sched[1]
+		if top == schedIdle {
+			break // nobody runnable: finished, or deadlocked below
 		}
-	} else if err := e.runLoop(); err != nil {
-		return Result{}, err
+		i := int(top & (1<<schedIndexBits - 1))
+		p := &e.procs[i]
+		for {
+			if err := e.step(i); err != nil {
+				return Result{}, err
+			}
+			if supervised {
+				if err := e.checkBudget(); err != nil {
+					return Result{}, err
+				}
+			}
+			if p.done || p.waiting {
+				e.schedUpdate(i, schedIdle)
+				break
+			}
+			k := packSchedKey(p.clock, int32(i))
+			e.schedUpdate(i, k)
+			if e.sched[1] != k {
+				break // p lost the minimum: re-read the root
+			}
+			// p is still the strict scheduler minimum: retire its next
+			// event without re-reading the root.
+		}
 	}
 	if !e.allDone() {
 		return Result{}, e.deadlockError()
@@ -408,42 +426,6 @@ func (e *Engine) Run() (Result, error) {
 	e.span.SetAttrUint("exec_cycles", res.ExecTime)
 	e.span.SetAttrUint("events", res.Events)
 	return res, nil
-}
-
-// runLoop is the sequential scheduling loop, run to quiescence: it returns
-// nil once no processor is runnable (workload complete, or deadlocked —
-// Run's caller distinguishes the two), or the first step/budget error.
-func (e *Engine) runLoop() error {
-	supervised := !e.budget.Zero() || e.ctx != nil
-	for {
-		top := e.sched[1]
-		if top == schedIdle {
-			return nil // nobody runnable: finished, or deadlocked
-		}
-		i := int(top & (1<<schedIndexBits - 1))
-		p := &e.procs[i]
-		for {
-			if err := e.step(i); err != nil {
-				return err
-			}
-			if supervised {
-				if err := e.checkBudget(); err != nil {
-					return err
-				}
-			}
-			if p.done || p.waiting {
-				e.schedUpdate(i, schedIdle)
-				break
-			}
-			k := packSchedKey(p.clock, int32(i))
-			e.schedUpdate(i, k)
-			if e.sched[1] != k {
-				break // p lost the minimum: re-read the root
-			}
-			// p is still the strict scheduler minimum: retire its next
-			// event without re-reading the root.
-		}
-	}
 }
 
 // schedIndexBits is the low-bit width a processor index occupies inside a

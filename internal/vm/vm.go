@@ -217,24 +217,6 @@ func (s *System) Translate(v addr.Virtual) addr.Physical {
 	return s.g.PhysAddr(p.Frame, v)
 }
 
-// TryTranslate maps a virtual address to its physical address if v's page
-// is already mapped, with no side effects: no first-touch mapping, no fault
-// accounting, no memo update. The parallel engine's contained access path
-// uses it to classify references against frozen VM state; any reference to
-// an unmapped page is deferred to the sequential drain, which performs the
-// first touch through Translate in exact sequential order. It panics in
-// VirtualOnly mode, like Translate.
-func (s *System) TryTranslate(v addr.Virtual) (addr.Physical, bool) {
-	if s.mode == VirtualOnly {
-		panic("vm: TryTranslate called on a V-COMA (virtual-only) system")
-	}
-	p := s.pages[s.g.Page(v)]
-	if p == nil {
-		return 0, false
-	}
-	return s.g.PhysAddr(p.Frame, v), true
-}
-
 // DirAddrOf returns the directory address of v's block at its home node,
 // mapping the page on first touch. Valid only in VirtualOnly mode.
 func (s *System) DirAddrOf(v addr.Virtual) (addr.Node, addr.DirAddr) {

@@ -113,27 +113,6 @@ func run() error {
 		snap.Scenarios = append(snap.Scenarios, s)
 	}
 
-	// The same RADIX runs through the parallel round engine at 4 shards:
-	// burst/rewind/drain plus the parity-preserving merged replay. events/run
-	// must equal the matching sequential scenario exactly (cycle identity);
-	// ns_op is honest wall-clock on whatever CPUs the host offers — the
-	// snapshot's cpus field records how much parallelism was available.
-	for _, sch := range []config.Scheme{config.L0TLB, config.VCOMA} {
-		sch := sch
-		var events float64
-		s := measure(fmt.Sprintf("sim_run_par4_%v", sch), "end-to-end RADIX, 4-shard parallel round engine", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := vcoma.RunParallel(cfg.WithScheme(sch), bench, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = float64(res.Sim.Events)
-			}
-		})
-		s.Metrics, s.MetricName = events, "events/run"
-		snap.Scenarios = append(snap.Scenarios, s)
-	}
-
 	// Synchronization-heavy end-to-end run: BARNES takes per-leaf locks and
 	// hits many barriers, so this scenario exercises the dense lock/barrier
 	// tables and the scheduler's wakeup path, which the RADIX runs above

@@ -156,44 +156,14 @@ func (r *RunResult) SharedMB() float64 {
 // Run builds a machine for cfg, builds and preloads b, and simulates it to
 // completion.
 func Run(cfg Config, b Benchmark) (*RunResult, error) {
-	return run(context.Background(), cfg, b, nil, nil, Budget{}, 0)
-}
-
-// RunParallel is Run with the engine's intra-run parallel mode: the 32
-// simulated processors are partitioned across shards goroutines that
-// batch-step node-local events between synchronization barriers. Results
-// are byte-identical to Run for every scheme and workload — the parity is
-// enforced by internal/check's differential oracle and fuzz harness.
-// shards ≤ 1 is exactly Run.
-func RunParallel(cfg Config, b Benchmark, shards int) (*RunResult, error) {
-	return run(context.Background(), cfg, b, nil, nil, Budget{}, shards)
-}
-
-// RunOptions collects every optional knob of a run in one place. The zero
-// value is exactly Run.
-type RunOptions struct {
-	// Observer attaches an observability sink (see RunInstrumented).
-	// Instrumented machines run on the sequential engine even when Shards
-	// is set; results are identical either way.
-	Observer *Observer
-	// Budget arms the watchdog (see RunSupervised).
-	Budget Budget
-	// Shards selects the parallel engine's goroutine count (see
-	// RunParallel). 0 or 1 is the sequential engine.
-	Shards int
-}
-
-// RunWithOptions is Run with all optional knobs: context bound, observer,
-// watchdog budget, and parallel shard count.
-func RunWithOptions(ctx context.Context, cfg Config, b Benchmark, opt RunOptions) (*RunResult, error) {
-	return run(ctx, cfg, b, nil, opt.Observer, opt.Budget, opt.Shards)
+	return run(context.Background(), cfg, b, nil, nil, Budget{})
 }
 
 // RunObserved is Run with a translation-observer bank grid attached to the
 // scheme's tap points: one pass measures every (size, organization) in
 // specs. Used by the Figure 8/9 and Table 2/3 experiments.
 func RunObserved(cfg Config, b Benchmark, specs []tlb.Spec) (*RunResult, error) {
-	return run(context.Background(), cfg, b, specs, nil, Budget{}, 0)
+	return run(context.Background(), cfg, b, specs, nil, Budget{})
 }
 
 // Budget bounds a supervised run: simulated-cycle, retired-event,
@@ -211,7 +181,7 @@ type WatchdogError = sim.WatchdogError
 // or the context deadline is exceeded, and with ctx's error when it is
 // cancelled, instead of spinning on a diverging or livelocked workload.
 func RunSupervised(ctx context.Context, cfg Config, b Benchmark, budget Budget) (*RunResult, error) {
-	return run(ctx, cfg, b, nil, nil, budget, 0)
+	return run(ctx, cfg, b, nil, nil, budget)
 }
 
 // Observer is the simulator-wide instrumentation sink (metrics registry,
@@ -228,16 +198,16 @@ func NewObserver(opt ObserverOptions) *Observer { return obs.New(opt) }
 // layer: per-node and per-processor metrics sampled each epoch, latency
 // histograms, and Chrome-trace events. A nil observer behaves like Run.
 func RunInstrumented(cfg Config, b Benchmark, o *Observer) (*RunResult, error) {
-	return run(context.Background(), cfg, b, nil, o, Budget{}, 0)
+	return run(context.Background(), cfg, b, nil, o, Budget{})
 }
 
 // RunInstrumentedSupervised combines RunInstrumented and RunSupervised: an
 // observability sink plus a context bound and watchdog budget.
 func RunInstrumentedSupervised(ctx context.Context, cfg Config, b Benchmark, o *Observer, budget Budget) (*RunResult, error) {
-	return run(ctx, cfg, b, nil, o, budget, 0)
+	return run(ctx, cfg, b, nil, o, budget)
 }
 
-func run(ctx context.Context, cfg Config, b Benchmark, specs []tlb.Spec, o *obs.Observer, budget Budget, shards int) (*RunResult, error) {
+func run(ctx context.Context, cfg Config, b Benchmark, specs []tlb.Spec, o *obs.Observer, budget Budget) (*RunResult, error) {
 	m, err := machine.New(cfg)
 	if err != nil {
 		return nil, err
@@ -260,7 +230,6 @@ func run(ctx context.Context, cfg Config, b Benchmark, specs []tlb.Spec, o *obs.
 	eng.SetBudget(budget)
 	eng.SetContext(ctx)
 	eng.SetObserver(o)
-	eng.SetParallel(shards)
 	res, err := eng.Run()
 	if err != nil {
 		return nil, fmt.Errorf("vcoma: running %s on %v: %w", prog.Name(), cfg.Scheme, err)
