@@ -91,8 +91,8 @@ perf-gate:
 check: vet build
 	$(GO) test -race ./...
 	mkdir -p fuzz-artifacts
-	$(GO) run ./cmd/vcoma-check -seeds 200 -budget 60s -artifacts fuzz-artifacts
-	$(GO) run ./cmd/vcoma-check -seeds 30 -diff -budget 60s -artifacts fuzz-artifacts
+	$(GO) run ./cmd/vcoma-check -seeds 2000 -budget 60s -artifacts fuzz-artifacts
+	$(GO) run ./cmd/vcoma-check -seeds 300 -diff -budget 60s -artifacts fuzz-artifacts
 
 clean:
 	rm -rf fuzz-artifacts artifacts chaos-smoke.tmp serve-smoke.tmp fsfault-smoke.tmp

@@ -304,15 +304,19 @@ func (c *Cache) Flush() (dirtyBlocks []uint64) {
 }
 
 // ValidBlocks returns the block addresses of every valid line, in storage
-// order. Used by inclusion checks and tests.
-func (c *Cache) ValidBlocks() []uint64 {
-	var out []uint64
+// order. Used by tests.
+func (c *Cache) ValidBlocks() []uint64 { return c.AppendValidBlocks(nil) }
+
+// AppendValidBlocks appends the block addresses of every valid line to dst,
+// in storage order, and returns the extended slice. Inclusion checks pass a
+// reused buffer so a warmed scan allocates nothing.
+func (c *Cache) AppendValidBlocks(dst []uint64) []uint64 {
 	for i, s := range c.state {
 		if s != stateInvalid {
-			out = append(out, c.tags[i])
+			dst = append(dst, c.tags[i])
 		}
 	}
-	return out
+	return dst
 }
 
 // OccupiedLines returns how many lines are valid, for tests and reports.

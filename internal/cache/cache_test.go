@@ -140,6 +140,11 @@ func TestValidBlocks(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("valid blocks: %v", got)
 	}
+	buf := make([]uint64, 1, 8)
+	buf = c.AppendValidBlocks(buf)
+	if len(buf) != 3 || buf[1] != got[0] || buf[2] != got[1] {
+		t.Fatalf("AppendValidBlocks onto one element: %v, want [0 %v...]", buf, got)
+	}
 }
 
 func TestOccupancyNeverExceedsCapacity(t *testing.T) {

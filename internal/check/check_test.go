@@ -47,7 +47,8 @@ func plainRun(t *testing.T, cfg config.Config, bench workload.Benchmark) (sim.Re
 }
 
 // TestCheckerOnBenchmarks runs the full invariant checker and shadow-memory
-// oracle over every benchmark of the suite under every scheme.
+// oracle over every benchmark of the suite under every scheme, with the
+// full scan at vcoma-check's default period.
 func TestCheckerOnBenchmarks(t *testing.T) {
 	schemes := config.Schemes()
 	if testing.Short() {
@@ -56,7 +57,7 @@ func TestCheckerOnBenchmarks(t *testing.T) {
 	for _, bench := range workload.Registry(workload.ScaleTest) {
 		for _, s := range schemes {
 			t.Run(bench.Name()+"/"+s.String(), func(t *testing.T) {
-				out, err := RunChecked(benchConfig(s), bench, Options{ScanEvery: 4096})
+				out, err := RunChecked(benchConfig(s), bench, Options{ScanEvery: 512})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -70,7 +70,12 @@ type Checker struct {
 
 	// touched accumulates blocks whose architectural state changed since
 	// the last settle point; they are re-validated after each reference.
-	touched map[addr.Virtual]struct{}
+	// A slice, not a set: a reference touches a handful of blocks, so a
+	// short linear dedup (see touch) is cheaper than hashing, and the
+	// reset is free.
+	touched []addr.Virtual
+	// states is checkTouched's scratch: every node's view of one block.
+	states []coherence.ProbeState
 
 	refs       uint64
 	refsByProc []uint64
@@ -100,7 +105,7 @@ func Attach(m *machine.Machine, scanEvery uint64, maxViolations int) *Checker {
 		global:        make(map[addr.Virtual]uint64),
 		backing:       make(map[addr.Virtual]uint64),
 		ver:           make([]map[addr.Virtual]uint64, g.Nodes()),
-		touched:       make(map[addr.Virtual]struct{}),
+		states:        make([]coherence.ProbeState, g.Nodes()),
 		refsByProc:    make([]uint64, g.Nodes()),
 		scanEvery:     scanEvery,
 		maxViolations: maxViolations,
@@ -192,7 +197,20 @@ func (c *Checker) virt(block uint64) addr.Virtual {
 	return c.m.VirtualOfProtoBlock(block)
 }
 
-func (c *Checker) touch(vb addr.Virtual) { c.touched[vb] = struct{}{} }
+// touchWindow bounds touch's dedup scan to the most recent entries. It
+// covers every block one reference touches; a preload touches thousands,
+// where a full scan would be quadratic and a rare repeat only costs one
+// redundant re-check.
+const touchWindow = 16
+
+func (c *Checker) touch(vb addr.Virtual) {
+	for i := len(c.touched) - 1; i >= 0 && i >= len(c.touched)-touchWindow; i-- {
+		if c.touched[i] == vb {
+			return
+		}
+	}
+	c.touched = append(c.touched, vb)
+}
 
 // --- coherence.Sink ---
 
@@ -299,58 +317,37 @@ func (c *Checker) checkTLBResidency(n addr.Node, va addr.Virtual, write bool) {
 }
 
 // checkTouched validates every block whose state changed since the last
-// settle point: directory/AM agreement and set occupancy.
+// settle point: directory/AM agreement and set occupancy, both from one
+// set scan per node.
 func (c *Checker) checkTouched() {
-	if len(c.touched) == 0 {
-		return
-	}
 	if c.invariants {
-		nodes := c.g.Nodes()
 		assoc := c.g.AMAssoc()
 		dir := c.prot.Directory()
-		for vb := range c.touched {
+		for _, vb := range c.touched {
 			pb := c.m.ProtoBlock(vb)
-			if err := dir.CheckBlock(pb, c.probe, nodes); err != nil {
-				c.fail("%v", err)
-			}
-			for i := 0; i < nodes; i++ {
-				if w := c.prot.AM(addr.Node(i)).OccupiedWays(pb); w > assoc {
-					c.fail("node %d AM set of block %#x holds %d ways, capacity %d", i, pb, w, assoc)
+			for i := range c.states {
+				st, ways := c.prot.AM(addr.Node(i)).ProbeSet(pb)
+				if ways > assoc {
+					c.fail("node %d AM set of block %#x holds %d ways, capacity %d", i, pb, ways, assoc)
 				}
+				c.states[i] = coherence.ProbeOf(st)
+			}
+			if err := dir.CheckBlock(pb, c.states); err != nil {
+				c.fail("%v", err)
 			}
 		}
 	}
-	clear(c.touched)
+	c.touched = c.touched[:0]
 }
 
-func (c *Checker) probe(n addr.Node, block uint64) coherence.ProbeState {
-	st := c.prot.AM(n).Probe(block)
-	return coherence.ProbeState{
-		Present:   st != mem.Invalid,
-		Master:    st.IsMaster(),
-		Exclusive: st == mem.Exclusive,
-	}
-}
-
-// fullScan validates the whole machine: directory-wide agreement, cache
-// inclusion, and orphan copies (AM blocks absent from their directory
-// entry, which per-block checks starting from the directory cannot see).
+// fullScan validates the whole machine: directory/AM agreement including
+// orphan copies (coherence.Protocol.CheckInvariants) and cache inclusion.
 func (c *Checker) fullScan() {
 	if !c.invariants {
 		return
 	}
 	if err := c.m.CheckInvariants(); err != nil {
 		c.fail("%v", err)
-	}
-	dir := c.prot.Directory()
-	for i := 0; i < c.g.Nodes(); i++ {
-		n := addr.Node(i)
-		c.prot.AM(n).ForEachValid(func(block uint64, s mem.State) {
-			e := dir.Lookup(block)
-			if e == nil || !e.Holds(n) {
-				c.fail("node %d holds block %#x (%v) absent from its directory entry (orphan copy)", i, block, s)
-			}
-		})
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"math/bits"
 
 	"vcoma/internal/addr"
+	"vcoma/internal/mem"
 )
 
 // Entry is one directory entry: the global state of one memory block.
@@ -98,71 +99,87 @@ func (d *Directory) Remove(block uint64) { delete(d.entries, block) }
 // Len returns the number of entries.
 func (d *Directory) Len() int { return len(d.entries) }
 
-// CheckInvariants validates directory-wide consistency against the per-node
-// attraction memories via the probe function (which must return each node's
-// view of the block without side effects). Used by tests and debug runs.
-func (d *Directory) CheckInvariants(probe func(n addr.Node, block uint64) ProbeState, nodes int) error {
-	for block := range d.entries {
-		if err := d.CheckBlock(block, probe, nodes); err != nil {
+// CheckBlock validates one block's directory entry against every node's
+// view of it; states[n] is node n's probe of block, so len(states) is the
+// node count. It checks exactly one master, copyset/presence agreement,
+// Exclusive implies sole holder, and an empty copyset only for swapped
+// blocks; a block with no entry must have no resident copies. The runtime
+// invariant checker (internal/check) calls it for every block a reference
+// touched, filling states from one AM set scan per node.
+func (d *Directory) CheckBlock(block uint64, states []ProbeState) error {
+	e := d.entries[block]
+	if err := checkEntry(block, e); err != nil {
+		return err
+	}
+	masters := 0
+	for n, st := range states {
+		if err := checkCopy(block, e, addr.Node(n), st); err != nil {
 			return err
 		}
+		if st.Master {
+			masters++
+		}
+	}
+	return checkMasters(block, e, masters)
+}
+
+// checkEntry validates an entry's own fields: an empty copyset only when
+// swapped, a swapped block holds no copies, and the master is a holder. A
+// nil entry (no directory state for the block) is well formed.
+func checkEntry(block uint64, e *Entry) error {
+	switch {
+	case e == nil:
+		return nil
+	case e.Copyset == 0 && !e.Swapped:
+		return fmt.Errorf("coherence: block %#x has empty copyset but is not swapped (last copy destroyed)", block)
+	case e.Copyset == 0:
+		return nil
+	case e.Swapped:
+		return fmt.Errorf("coherence: block %#x swapped with non-empty copyset %#x", block, e.Copyset)
+	case !e.Holds(e.Master):
+		return fmt.Errorf("coherence: block %#x master %d not in copyset %#x", block, e.Master, e.Copyset)
 	}
 	return nil
 }
 
-// CheckBlock validates one block's directory entry against the per-node
-// attraction memories: exactly one master, copyset/presence agreement,
-// Exclusive implies sole holder, and an empty copyset only for swapped
-// blocks. A block with no entry must have no resident copies. Used by the
-// runtime invariant checker (internal/check) after every touched reference.
-func (d *Directory) CheckBlock(block uint64, probe func(n addr.Node, block uint64) ProbeState, nodes int) error {
-	e := d.entries[block]
-	if e == nil {
-		for n := 0; n < nodes; n++ {
-			if probe(addr.Node(n), block).Present {
-				return fmt.Errorf("coherence: block %#x has no directory entry but node %d holds a copy", block, n)
-			}
+// checkCopy validates node n's view st of block against its entry e (nil if
+// the block has none): presence must match the copyset, a master copy must
+// be the directory's master, and an Exclusive copy must be the only one.
+// These are the per-node rules shared by CheckBlock, which applies them to
+// every node, and Protocol.CheckInvariants, which applies them to copyset
+// holders and to every resident copy.
+func checkCopy(block uint64, e *Entry, n addr.Node, st ProbeState) error {
+	switch {
+	case e == nil:
+		if st.Present {
+			return fmt.Errorf("coherence: block %#x has no directory entry but node %d holds a copy", block, n)
+		}
+		return nil
+	case e.Copyset == 0:
+		if st.Present {
+			return fmt.Errorf("coherence: block %#x swapped but node %d holds a copy", block, n)
 		}
 		return nil
 	}
-	if e.Copyset == 0 {
-		if !e.Swapped {
-			return fmt.Errorf("coherence: block %#x has empty copyset but is not swapped (last copy destroyed)", block)
-		}
-		for n := 0; n < nodes; n++ {
-			if probe(addr.Node(n), block).Present {
-				return fmt.Errorf("coherence: block %#x swapped but node %d holds a copy", block, n)
-			}
-		}
-		return nil
+	if st.Present != e.Holds(n) {
+		return fmt.Errorf("coherence: block %#x node %d presence %v disagrees with copyset %#x",
+			block, n, st.Present, e.Copyset)
 	}
-	if e.Swapped {
-		return fmt.Errorf("coherence: block %#x swapped with non-empty copyset %#x", block, e.Copyset)
+	if st.Master && n != e.Master {
+		return fmt.Errorf("coherence: block %#x node %d is master but directory says %d",
+			block, n, e.Master)
 	}
-	if !e.Holds(e.Master) {
-		return fmt.Errorf("coherence: block %#x master %d not in copyset %#x", block, e.Master, e.Copyset)
+	if st.Exclusive && e.Holders() != 1 {
+		return fmt.Errorf("coherence: block %#x exclusive at node %d with %d holders",
+			block, n, e.Holders())
 	}
-	masters := 0
-	for n := 0; n < nodes; n++ {
-		st := probe(addr.Node(n), block)
-		inSet := e.Holds(addr.Node(n))
-		if st.Present != inSet {
-			return fmt.Errorf("coherence: block %#x node %d presence %v disagrees with copyset %#x",
-				block, n, st.Present, e.Copyset)
-		}
-		if st.Master {
-			masters++
-			if addr.Node(n) != e.Master {
-				return fmt.Errorf("coherence: block %#x node %d is master but directory says %d",
-					block, n, e.Master)
-			}
-		}
-		if st.Exclusive && e.Holders() != 1 {
-			return fmt.Errorf("coherence: block %#x exclusive at node %d with %d holders",
-				block, n, e.Holders())
-		}
-	}
-	if masters != 1 {
+	return nil
+}
+
+// checkMasters checks that a resident block (non-empty copyset) has exactly
+// one master copy among its holders.
+func checkMasters(block uint64, e *Entry, masters int) error {
+	if e != nil && e.Copyset != 0 && masters != 1 {
 		return fmt.Errorf("coherence: block %#x has %d masters", block, masters)
 	}
 	return nil
@@ -173,4 +190,13 @@ type ProbeState struct {
 	Present   bool
 	Master    bool // MasterShared or Exclusive
 	Exclusive bool
+}
+
+// ProbeOf converts an attraction-memory state into its ProbeState.
+func ProbeOf(s mem.State) ProbeState {
+	return ProbeState{
+		Present:   s != mem.Invalid,
+		Master:    s.IsMaster(),
+		Exclusive: s == mem.Exclusive,
+	}
 }

@@ -567,14 +567,49 @@ func (p *Protocol) installVictimAt(now uint64, n addr.Node, b uint64, from addr.
 	p.dropShared(now, n, v.Block)
 }
 
-// CheckInvariants verifies directory/AM agreement machine-wide.
+// CheckInvariants verifies directory/AM agreement machine-wide, with the
+// rules CheckBlock applies to one block, in one fused pass. It first checks
+// every directory entry against its copyset holders only, then walks every
+// attraction memory once and checks each resident copy whose node the
+// directory does not list (an orphan: no entry, a swapped entry, or a
+// non-holder). The walk proves no non-holder holds a copy, so probing the
+// other nodes per entry would be redundant. Protocol tests call it after
+// each transaction, machine.CheckInvariants and the runtime checker's
+// periodic full scan call it on a whole machine; it does not allocate.
 func (p *Protocol) CheckInvariants() error {
-	return p.dir.CheckInvariants(func(n addr.Node, block uint64) ProbeState {
-		st := p.ams[n].Probe(block)
-		return ProbeState{
-			Present:   st != mem.Invalid,
-			Master:    st.IsMaster(),
-			Exclusive: st == mem.Exclusive,
+	for block, e := range p.dir.entries {
+		if err := checkEntry(block, e); err != nil {
+			return err
 		}
-	}, p.g.Nodes())
+		masters := 0
+		for set := e.Copyset; set != 0; set &= set - 1 {
+			n := addr.Node(bits.TrailingZeros64(set))
+			st := ProbeOf(p.ams[n].Probe(block))
+			if err := checkCopy(block, e, n, st); err != nil {
+				return err
+			}
+			if st.Master {
+				masters++
+			}
+		}
+		if err := checkMasters(block, e, masters); err != nil {
+			return err
+		}
+	}
+	var err error
+	for i, am := range p.ams {
+		n := addr.Node(i)
+		am.ForEachValid(func(block uint64, s mem.State) {
+			if err != nil {
+				return
+			}
+			if e := p.dir.entries[block]; e == nil || !e.Holds(n) {
+				err = checkCopy(block, e, n, ProbeOf(s))
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

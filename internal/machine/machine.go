@@ -131,6 +131,8 @@ type Machine struct {
 	// SetAccessChecker is called); it observes completed references and
 	// must not change any simulated outcome.
 	checker AccessChecker
+	// inclScratch is checkInclusion's reused block buffer.
+	inclScratch []uint64
 }
 
 // AccessChecker observes every completed processor reference, after the
@@ -658,9 +660,11 @@ func (m *Machine) handleSLCVictim(now uint64, n addr.Node, r cache.Result, trans
 // PressureProfile returns the Figure 11 pressure profile.
 func (m *Machine) PressureProfile() []float64 { return m.sys.PressureProfile() }
 
-// CheckInvariants verifies cross-layer consistency: directory/AM agreement
-// and cache inclusion (every valid SLC/FLC block backed by a valid local AM
-// block). Tests and debug runs call this; it is O(machine size).
+// CheckInvariants verifies cross-layer consistency: directory/AM agreement,
+// orphan copies included (see coherence.Protocol.CheckInvariants), and cache
+// inclusion (every valid SLC/FLC block backed by a valid local AM block).
+// Tests call this, and so does the runtime checker's periodic full scan; it
+// is O(machine size) and allocates nothing once warmed.
 func (m *Machine) CheckInvariants() error {
 	if err := m.prot.CheckInvariants(); err != nil {
 		return err
@@ -675,7 +679,8 @@ func (m *Machine) CheckInvariants() error {
 func (m *Machine) checkInclusion() error {
 	for i := range m.slcs {
 		n := addr.Node(i)
-		for _, b := range m.slcs[i].ValidBlocks() {
+		m.inclScratch = m.slcs[i].AppendValidBlocks(m.inclScratch[:0])
+		for _, b := range m.inclScratch {
 			pb, ok := m.protoOfSLCAddr(b)
 			if !ok {
 				return fmt.Errorf("machine: node %d SLC holds block %#x of an unmapped page", i, b)
@@ -684,7 +689,8 @@ func (m *Machine) checkInclusion() error {
 				return fmt.Errorf("machine: node %d SLC block %#x (proto %#x) has no local AM copy (inclusion broken)", i, b, pb)
 			}
 		}
-		for _, b := range m.flcs[i].ValidBlocks() {
+		m.inclScratch = m.flcs[i].AppendValidBlocks(m.inclScratch[:0])
+		for _, b := range m.inclScratch {
 			sa, ok := m.slcAddrOfFLCAddr(b)
 			if !ok {
 				return fmt.Errorf("machine: node %d FLC holds block %#x of an unmapped page", i, b)

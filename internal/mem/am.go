@@ -149,6 +149,24 @@ func (m *AM) Probe(block uint64) State {
 	return Invalid
 }
 
+// ProbeSet returns the state of the block, like Probe, together with how
+// many slots of its set are valid — both from one scan of the set. The
+// invariant checker uses it to validate a block's copy and its set's
+// occupancy at once.
+func (m *AM) ProbeSet(block uint64) (s State, occupied int) {
+	b := m.BlockAddr(block)
+	base := m.setBase(b)
+	for i := base; i < base+m.ways; i++ {
+		if st := m.state[i]; st != Invalid {
+			occupied++
+			if m.tags[i] == b {
+				s = st
+			}
+		}
+	}
+	return s, occupied
+}
+
 // SetState changes the state of a resident block; it panics if the block is
 // absent (protocol bookkeeping bug).
 func (m *AM) SetState(block uint64, s State) {
@@ -273,18 +291,6 @@ func (m *AM) ForEachValid(f func(block uint64, s State)) {
 			f(m.tags[i], st)
 		}
 	}
-}
-
-// OccupiedWays returns how many slots of block's set are valid.
-func (m *AM) OccupiedWays(block uint64) int {
-	base := m.setBase(m.BlockAddr(block))
-	n := 0
-	for i := base; i < base+m.ways; i++ {
-		if m.state[i] != Invalid {
-			n++
-		}
-	}
-	return n
 }
 
 // Occupancy returns the fraction of all slots holding valid blocks.

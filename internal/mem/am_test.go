@@ -141,8 +141,8 @@ func TestOccupancyAndCounts(t *testing.T) {
 	if m.Occupancy() != want {
 		t.Fatalf("occupancy %v, want %v", m.Occupancy(), want)
 	}
-	if m.OccupiedWays(0x0) != 1 {
-		t.Fatalf("occupied ways %d", m.OccupiedWays(0x0))
+	if st, occ := m.ProbeSet(0x0); st != Shared || occ != 1 {
+		t.Fatalf("ProbeSet(0x0) = %v, %d ways; want S, 1", st, occ)
 	}
 }
 
@@ -158,10 +158,11 @@ func TestSetBounded(t *testing.T) {
 			}
 			b := uint64(r)
 			m.Install(b, s)
-			if !m.Probe(b).Readable() {
+			st, occ := m.ProbeSet(b)
+			if st != s || st != m.Probe(b) {
 				return false
 			}
-			if m.OccupiedWays(b) > g().AMAssoc() {
+			if occ < 1 || occ > g().AMAssoc() {
 				return false
 			}
 		}
