@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke soak check chaos-smoke serve-smoke fsfault-smoke crashsim bench-snapshot bench-snapshot-core perf-gate clean
+.PHONY: all vet build test race fuzz-smoke soak check chaos-smoke serve-smoke fsfault-smoke crashsim bench-check clean
 
 all: check
 
@@ -63,29 +63,18 @@ crashsim:
 	$(GO) test ./internal/fsio/... -count=1
 	$(GO) test ./internal/runner/ ./internal/serve/ -run 'CrashSweep|Torn' -count=1
 
-# Refresh BENCH_serve.json: service-path latencies (cold submit, warm store
-# hit, coalesced burst) measured at test scale.
-bench-snapshot:
-	$(GO) run ./scripts/benchsnapshot > BENCH_serve.json
-	cat BENCH_serve.json
-
-# Refresh BENCH_core.json: simulator-core hot paths (end-to-end engine per
-# scheme, TLB access, SLC read, trace generator) via testing.Benchmark.
-# Compare snapshots with `go run ./scripts/benchdiff old.json new.json`
-# (±10% regression threshold by default).
-bench-snapshot-core:
-	$(GO) run ./scripts/benchcore > BENCH_core.json
-	cat BENCH_core.json
-
-# Perf gate: re-measure the core hot paths and fail on a >10% ns_op
-# regression of the sim_run_* / tlb_access_* scenarios against the committed
-# BENCH_core.json. Other scenarios (cache_read, generator_throughput) are
-# printed but advisory. After an intentional perf change, refresh the
-# baseline with `make bench-snapshot-core` and commit it.
-perf-gate:
-	$(GO) run ./scripts/benchcore > BENCH_core.new.json
-	$(GO) run ./scripts/benchdiff -only '^(sim_run_|tlb_access_)' BENCH_core.json BENCH_core.new.json
-	rm -f BENCH_core.new.json
+# Host-independent benchmark gate: build and test the perfbench module, run
+# the root Go benchmarks once so they cannot rot, then run every perfbench
+# workload briefly at the default seed, which fails on any wrong output
+# (simulated timing and the report against perfbench/digests.txt). Nothing
+# here compares wall times; same-host A/B runs use `perfbench --out` and
+# `--compare`.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	for w in sim-small report-small checked-test serve-mixed; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # The full local gate: what CI runs, minus the long benchmark artifacts.
 check: vet build

@@ -71,9 +71,10 @@ func compareCycleGolden(t *testing.T, name, got string) {
 }
 
 // TestCycleIdentityRadix runs the paper-machine RADIX workload at test scale
-// under all five schemes and compares against the recorded goldens — the
-// same configuration scripts/benchcore measures, so the perf trajectory and
-// the correctness pin cover the identical path.
+// under all five schemes and compares against the recorded goldens. Its
+// L0-TLB and V-COMA runs are the ones perfbench's RADIX test-scale probes
+// time at the default seed, so the timed path and the correctness pin cover
+// the identical path.
 func TestCycleIdentityRadix(t *testing.T) {
 	cfg := experiments.ConfigForScale(Baseline(), ScaleTest)
 	var b strings.Builder
