@@ -186,18 +186,22 @@ func doReplay(cfg vcoma.Config, dir string, o *obs.Observer, metricsOut, traceOu
 	m.Preload(layout)
 
 	var streams []trace.Stream
+	var replays []*replayStream
 	var files []*os.File
 	for p := 0; p < cfg.Geometry.Nodes(); p++ {
-		f, err := os.Open(filepath.Join(dir, fmt.Sprintf("proc%03d.vct", p)))
+		name := fmt.Sprintf("proc%03d.vct", p)
+		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
 		files = append(files, f)
 		rd, err := trace.NewReader(f)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		streams = append(streams, rd)
+		rs := &replayStream{rd: rd, layout: layout, file: name}
+		replays = append(replays, rs)
+		streams = append(streams, rs)
 	}
 	defer func() {
 		for _, f := range files {
@@ -219,6 +223,13 @@ func doReplay(cfg vcoma.Config, dir string, o *obs.Observer, metricsOut, traceOu
 	eng.SetObserver(o)
 	start := time.Now()
 	res, err := eng.Run()
+	// A corrupt file ends its stream early, which can surface as a deadlock
+	// at the next barrier; the corruption is the cause to report.
+	for _, rs := range replays {
+		if rs.err != nil {
+			return rs.err
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -257,6 +268,43 @@ func doReplay(cfg vcoma.Config, dir string, o *obs.Observer, metricsOut, traceOu
 		}
 	}
 	return nil
+}
+
+// replayStream is one processor's recorded trace, ended at the first event
+// a recording cannot hold: an event that does not decode, or a reference
+// outside the recorded layout. Generators only emit addresses inside
+// regions, so such a reference means the file is corrupt; mapping it on
+// first touch would trip the page table's index bound or, below it, map
+// pages no region owns.
+type replayStream struct {
+	rd     *trace.Reader
+	layout *vm.Layout
+	file   string
+	n      uint64 // events read so far: the index of the next one
+	err    error
+}
+
+// Next implements trace.Stream.
+func (s *replayStream) Next() (trace.Event, bool) {
+	if s.err != nil {
+		return trace.Event{}, false
+	}
+	ev, ok := s.rd.Next()
+	if !ok {
+		if err := s.rd.Err(); err != nil {
+			s.err = fmt.Errorf("%s: event %d: %w", s.file, s.n, err)
+		}
+		return ev, false
+	}
+	if ev.Kind == trace.Read || ev.Kind == trace.Write {
+		if _, in := s.layout.Find(ev.Addr); !in {
+			s.err = fmt.Errorf("%s: event %d: %v of address %#x outside the recorded layout",
+				s.file, s.n, ev.Kind, uint64(ev.Addr))
+			return trace.Event{}, false
+		}
+	}
+	s.n++
+	return ev, true
 }
 
 // replaySummary renders the per-processor cycle breakdown as a table: where

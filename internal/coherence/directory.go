@@ -16,6 +16,7 @@ import (
 	"math/bits"
 
 	"vcoma/internal/addr"
+	"vcoma/internal/dense"
 	"vcoma/internal/mem"
 )
 
@@ -31,6 +32,10 @@ type Entry struct {
 	// (injection chain exhausted); the next access refetches it from
 	// backing store.
 	Swapped bool
+
+	// live distinguishes an entry, even an empty one, from a directory
+	// slot the block never had (or lost to Remove).
+	live bool
 }
 
 // Holders returns the number of nodes in the copyset.
@@ -57,47 +62,67 @@ func (e *Entry) AnyHolderExcept(n addr.Node) (addr.Node, bool) {
 // Directory is the machine-wide set of directory entries, logically
 // partitioned across home nodes by the home function.
 //
-// Entries are carved out of fixed-capacity chunks rather than allocated
-// one by one: preloading a working set touches thousands of blocks, and
-// per-Entry allocations dominated the simulator's heap profile. A chunk is
-// never reallocated once handed out, so *Entry pointers stay stable for
-// the life of the directory.
+// Like the paper's directory memory, it is dense: entries are stored by
+// value in a table indexed by block number (block >> blockBits), so a
+// lookup is two indexed loads and preloading a working set allocates one
+// chunk per 1024 blocks instead of growing a hash map. Entry pointers stay
+// valid for the life of the directory.
 type Directory struct {
-	entries map[uint64]*Entry
-	arena   []Entry // current chunk; full when len == cap
+	blockBits uint
+	entries   dense.Table[Entry]
+	n         int // live entries
 }
 
-// arenaChunk is the entry-arena chunk size.
-const arenaChunk = 1024
+// baselineBlockBits is log2 of the baseline machine's 128-byte AM block.
+const baselineBlockBits = 7
 
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{entries: make(map[uint64]*Entry)}
+// NewDirectory returns an empty directory for the baseline 128-byte block.
+func NewDirectory() *Directory { return newDirectory(baselineBlockBits) }
+
+// newDirectory returns an empty directory for 2^blockBits-byte blocks.
+func newDirectory(blockBits uint) *Directory { return &Directory{blockBits: blockBits} }
+
+// Lookup returns the entry for block, or nil. block must be block-aligned.
+func (d *Directory) Lookup(block uint64) *Entry {
+	if e := d.entries.At(block >> d.blockBits); e != nil && e.live {
+		return e
+	}
+	return nil
 }
 
-// Lookup returns the entry for block, or nil.
-func (d *Directory) Lookup(block uint64) *Entry { return d.entries[block] }
-
-// Ensure returns the entry for block, creating an empty one if needed.
+// Ensure returns the entry for block, creating an empty one if needed. It
+// panics on a block that is not aligned to the directory's block size.
 func (d *Directory) Ensure(block uint64) *Entry {
-	e := d.entries[block]
-	if e == nil {
-		if len(d.arena) == cap(d.arena) {
-			d.arena = make([]Entry, 0, arenaChunk)
-		}
-		d.arena = d.arena[:len(d.arena)+1]
-		e = &d.arena[len(d.arena)-1]
-		d.entries[block] = e
+	if block&(1<<d.blockBits-1) != 0 {
+		panic(fmt.Sprintf("coherence: directory entry for unaligned block %#x", block))
+	}
+	e := d.entries.Ensure(block >> d.blockBits)
+	if !e.live {
+		e.live = true
+		d.n++
 	}
 	return e
 }
 
 // Remove deletes block's entry, if any (address-mapping change: the
 // directory page is reclaimed).
-func (d *Directory) Remove(block uint64) { delete(d.entries, block) }
+func (d *Directory) Remove(block uint64) {
+	if e := d.Lookup(block); e != nil {
+		*e = Entry{}
+		d.n--
+	}
+}
 
 // Len returns the number of entries.
-func (d *Directory) Len() int { return len(d.entries) }
+func (d *Directory) Len() int { return d.n }
+
+// each calls f for every entry in ascending block order, stopping early
+// when f returns false.
+func (d *Directory) each(f func(block uint64, e *Entry) bool) {
+	d.entries.Each(func(i uint64, e *Entry) bool {
+		return !e.live || f(i<<d.blockBits, e)
+	})
+}
 
 // CheckBlock validates one block's directory entry against every node's
 // view of it; states[n] is node n's probe of block, so len(states) is the
@@ -107,7 +132,7 @@ func (d *Directory) Len() int { return len(d.entries) }
 // invariant checker (internal/check) calls it for every block a reference
 // touched, filling states from one AM set scan per node.
 func (d *Directory) CheckBlock(block uint64, states []ProbeState) error {
-	e := d.entries[block]
+	e := d.Lookup(block)
 	if err := checkEntry(block, e); err != nil {
 		return err
 	}

@@ -121,7 +121,7 @@ func New(g addr.Geometry, timing config.Timing, home func(block uint64) addr.Nod
 		g:      g,
 		timing: timing,
 		home:   home,
-		dir:    NewDirectory(),
+		dir:    newDirectory(g.AMBlockBits),
 		fabric: network.New(g.Nodes(), timing.NetRequest, timing.NetBlock),
 		hooks:  hooks,
 		rng:    prng.New(seed),
@@ -569,41 +569,44 @@ func (p *Protocol) installVictimAt(now uint64, n addr.Node, b uint64, from addr.
 
 // CheckInvariants verifies directory/AM agreement machine-wide, with the
 // rules CheckBlock applies to one block, in one fused pass. It first checks
-// every directory entry against its copyset holders only, then walks every
-// attraction memory once and checks each resident copy whose node the
-// directory does not list (an orphan: no entry, a swapped entry, or a
-// non-holder). The walk proves no non-holder holds a copy, so probing the
-// other nodes per entry would be redundant. Protocol tests call it after
-// each transaction, machine.CheckInvariants and the runtime checker's
+// every directory entry against its copyset holders only, in ascending
+// block order so that the first violation reported is deterministic, then
+// walks every attraction memory once and checks each resident copy whose
+// node the directory does not list (an orphan: no entry, a swapped entry,
+// or a non-holder). The walk proves no non-holder holds a copy, so probing
+// the other nodes per entry would be redundant. Protocol tests call it
+// after each transaction, machine.CheckInvariants and the runtime checker's
 // periodic full scan call it on a whole machine; it does not allocate.
 func (p *Protocol) CheckInvariants() error {
-	for block, e := range p.dir.entries {
-		if err := checkEntry(block, e); err != nil {
-			return err
+	var err error
+	p.dir.each(func(block uint64, e *Entry) bool {
+		if err = checkEntry(block, e); err != nil {
+			return false
 		}
 		masters := 0
 		for set := e.Copyset; set != 0; set &= set - 1 {
 			n := addr.Node(bits.TrailingZeros64(set))
 			st := ProbeOf(p.ams[n].Probe(block))
-			if err := checkCopy(block, e, n, st); err != nil {
-				return err
+			if err = checkCopy(block, e, n, st); err != nil {
+				return false
 			}
 			if st.Master {
 				masters++
 			}
 		}
-		if err := checkMasters(block, e, masters); err != nil {
-			return err
-		}
+		err = checkMasters(block, e, masters)
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
-	var err error
 	for i, am := range p.ams {
 		n := addr.Node(i)
 		am.ForEachValid(func(block uint64, s mem.State) {
 			if err != nil {
 				return
 			}
-			if e := p.dir.entries[block]; e == nil || !e.Holds(n) {
+			if e := p.dir.Lookup(block); e == nil || !e.Holds(n) {
 				err = checkCopy(block, e, n, ProbeOf(s))
 			}
 		})

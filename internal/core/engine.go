@@ -58,11 +58,9 @@ type HomeEngine struct {
 	stats  EngineStats
 	tracer *obs.Tracer
 
-	// seenDirPages backs the DirPagesTouched counter; lastDirPage is a
-	// one-entry memo in front of it, since consecutive directory operations
-	// overwhelmingly resolve within the same directory page.
-	seenDirPages map[int]struct{}
-	lastDirPage  int
+	// seenDirPages backs the DirPagesTouched counter: a bitset over this
+	// home's directory pages, which are numbered densely from zero.
+	seenDirPages []uint64
 }
 
 // NewHomeEngine builds the engine for node n. The DLB has entries slots in
@@ -77,13 +75,11 @@ func NewHomeEngine(n addr.Node, cfg config.Config, sys *vm.System, entries int, 
 		return nil, err
 	}
 	return &HomeEngine{
-		node:         n,
-		g:            cfg.Geometry,
-		sys:          sys,
-		dlb:          dlb,
-		timing:       cfg.Timing,
-		seenDirPages: make(map[int]struct{}),
-		lastDirPage:  -1,
+		node:   n,
+		g:      cfg.Geometry,
+		sys:    sys,
+		dlb:    dlb,
+		timing: cfg.Timing,
 	}, nil
 }
 
@@ -138,12 +134,13 @@ func (e *HomeEngine) TranslateAt(now uint64, v addr.Virtual, critical bool) (add
 	if critical {
 		e.stats.CriticalLookups++
 	}
-	if dp := e.g.DirPageOf(da); dp != e.lastDirPage {
-		if _, seen := e.seenDirPages[dp]; !seen {
-			e.seenDirPages[dp] = struct{}{}
-			e.stats.DirPagesTouched++
-		}
-		e.lastDirPage = dp
+	w, bit := pg.DirPage>>6, uint64(1)<<(pg.DirPage&63)
+	if w >= len(e.seenDirPages) {
+		e.seenDirPages = append(e.seenDirPages, make([]uint64, w+1-len(e.seenDirPages))...)
+	}
+	if e.seenDirPages[w]&bit == 0 {
+		e.seenDirPages[w] |= bit
+		e.stats.DirPagesTouched++
 	}
 
 	if e.dlb.Access(e.g.Page(v)) {

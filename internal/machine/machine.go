@@ -495,10 +495,15 @@ func (m *Machine) Access(now uint64, n addr.Node, va addr.Virtual, write bool) A
 		trans += m.tlbAccess(now, n, g.Page(va), false)
 	}
 
-	// Resolve per-level addresses.
-	var pa uint64
+	// Resolve per-level addresses. The physically-addressed schemes walk
+	// the page table once: the protocol block is the physical address's
+	// block (protoAddr of the virtual block, without a second walk).
+	var pa, protoBlock uint64
 	if scheme <= config.L2TLB {
 		pa = uint64(m.sys.Translate(va))
+		protoBlock = pa &^ (g.AMBlockSize() - 1)
+	} else {
+		protoBlock = uint64(g.Block(va))
 	}
 	var flcAddr, slcAddr uint64
 	switch scheme {
@@ -509,7 +514,6 @@ func (m *Machine) Access(now uint64, n addr.Node, va addr.Virtual, write bool) A
 	default:
 		flcAddr, slcAddr = uint64(va), uint64(va)
 	}
-	protoBlock := m.protoAddr(g.Block(va))
 
 	flc, slc := m.flcs[n], m.slcs[n]
 

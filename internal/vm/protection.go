@@ -62,29 +62,27 @@ func (s *System) SetProtection(v addr.Virtual, prot Prot) *Page {
 
 // Unmap removes v's page mapping entirely — the address-mapping change of
 // §2.2.1. The page's frame (if any) is released, its global-set slot is
-// freed, and the record is returned so the machine can flush stale state
-// (TLB entries, cache blocks, attraction-memory copies). Unmapping an
-// unmapped page is an error: the callers all hold a reason to believe the
-// page exists.
+// freed, and a copy of the record is returned so the machine can flush
+// stale state (TLB entries, cache blocks, attraction-memory copies).
+// Unmapping an unmapped page is an error: the callers all hold a reason to
+// believe the page exists.
 func (s *System) Unmap(v addr.Virtual) (*Page, error) {
 	pn := s.g.Page(v)
-	p := s.pages[pn]
-	if p == nil {
+	slot := s.lookup(pn)
+	if slot == nil {
 		return nil, fmt.Errorf("vm: unmap of unmapped page %#x", uint64(pn))
 	}
-	delete(s.pages, pn)
-	s.dropMemo(pn)
-	var gps int
-	switch s.mode {
-	case PhysicalRoundRobin:
+	p := *slot
+	p.mapped = false
+	*slot = Page{}
+	s.npages--
+	gps := s.g.GlobalPageSet(pn)
+	if s.mode == PhysicalRoundRobin {
 		gps = s.g.GlobalPageSetOfFrame(p.Frame)
-		delete(s.frames, p.Frame)
-	case Colored:
-		gps = s.g.GlobalPageSet(pn)
-		delete(s.frames, p.Frame)
-	case VirtualOnly:
-		gps = s.g.GlobalPageSet(pn)
+	}
+	if s.mode != VirtualOnly {
+		*s.frames.At(uint64(p.Frame)) = nil
 	}
 	s.gpsPages[gps]--
-	return p, nil
+	return &p, nil
 }

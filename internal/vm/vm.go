@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"vcoma/internal/addr"
+	"vcoma/internal/dense"
 )
 
 // Mode selects the virtual-to-physical mapping policy.
@@ -68,6 +69,10 @@ type Page struct {
 	Modified   bool
 	// Prot is the page-level protection (§2.2.4, §4.3).
 	Prot Prot
+
+	// mapped distinguishes a page-table slot holding a mapping from one
+	// never mapped (or unmapped).
+	mapped bool
 }
 
 // System is the machine-wide virtual-memory manager.
@@ -75,19 +80,15 @@ type System struct {
 	g    addr.Geometry
 	mode Mode
 
-	pages map[addr.PageNum]*Page
-	// memo is a direct-mapped front for the pages map: the translation path
-	// runs on every simulated reference (often twice — data and protocol
-	// addresses), and references repeat pages in bursts, so most lookups are
-	// answered by one tag compare instead of a map probe. Entries are
-	// evicted by index collision and the whole memo drops on Unmap; a nil
-	// memoPage slot is simply a miss, so staleness cannot outlive an unmap.
-	memoPN   [pageMemoSize]addr.PageNum
-	memoPage [pageMemoSize]*Page
-	// frames reverse-maps allocated frames to their virtual page, the
+	// pages is the page table, indexed by page number; npages counts its
+	// mapped slots.
+	pages  dense.Table[Page]
+	npages int
+	// frames reverse-maps allocated frames to their page record, the
 	// simulator's stand-in for the backpointers a physical cache keeps to
-	// reach the virtual caches under it (paper §2.2.2).
-	frames map[addr.Frame]addr.PageNum
+	// reach the virtual caches under it (paper §2.2.2). A nil slot is an
+	// unallocated frame.
+	frames dense.Table[*Page]
 
 	nextFrame addr.Frame // PhysicalRoundRobin allocation cursor
 
@@ -112,8 +113,6 @@ func NewSystem(g addr.Geometry, mode Mode) *System {
 	return &System{
 		g:           g,
 		mode:        mode,
-		pages:       make(map[addr.PageNum]*Page),
-		frames:      make(map[addr.Frame]addr.PageNum),
 		gpsPages:    make([]int, g.GlobalPageSets()),
 		gpsOverflow: make([]int, g.GlobalPageSets()),
 		dirPages:    make([]int, g.Nodes()),
@@ -130,35 +129,33 @@ func (s *System) Mode() Mode { return s.mode }
 func (s *System) Faults() uint64 { return s.faults }
 
 // MappedPages returns the number of resident pages.
-func (s *System) MappedPages() int { return len(s.pages) }
+func (s *System) MappedPages() int { return s.npages }
 
 // Lookup returns the page record for v's page, or nil if unmapped.
-func (s *System) Lookup(v addr.Virtual) *Page { return s.pages[s.g.Page(v)] }
+func (s *System) Lookup(v addr.Virtual) *Page { return s.lookup(s.g.Page(v)) }
 
-// pageMemoSize is the direct-mapped page-memo size (power of two). 256
-// entries cover the hot working set of every paper workload.
-const pageMemoSize = 256
+func (s *System) lookup(pn addr.PageNum) *Page {
+	if p := s.pages.At(uint64(pn)); p != nil && p.mapped {
+		return p
+	}
+	return nil
+}
 
 // Ensure maps v's page if needed and returns its record. This is the page-
 // fault path; with preloaded data it only fires on first touch.
 func (s *System) Ensure(v addr.Virtual) *Page {
 	pn := s.g.Page(v)
-	slot := int(pn) & (pageMemoSize - 1)
-	if p := s.memoPage[slot]; p != nil && s.memoPN[slot] == pn {
+	if p := s.lookup(pn); p != nil {
 		return p
 	}
-	p := s.pages[pn]
-	if p == nil {
-		p = s.mapPage(pn)
-	}
-	s.memoPN[slot] = pn
-	s.memoPage[slot] = p
-	return p
+	return s.mapPage(pn)
 }
 
 func (s *System) mapPage(pn addr.PageNum) *Page {
 	s.faults++
-	p := &Page{Num: pn, Mode: s.mode, Prot: ProtRW}
+	s.npages++
+	p := s.pages.Ensure(uint64(pn))
+	*p = Page{Num: pn, Mode: s.mode, Prot: ProtRW, mapped: true}
 	switch s.mode {
 	case PhysicalRoundRobin:
 		p.Frame = s.nextFrame
@@ -185,18 +182,9 @@ func (s *System) mapPage(pn addr.PageNum) *Page {
 		s.account(gps)
 	}
 	if s.mode != VirtualOnly {
-		s.frames[p.Frame] = pn
+		*s.frames.Ensure(uint64(p.Frame)) = p
 	}
-	s.pages[pn] = p
 	return p
-}
-
-// dropMemo evicts pn's memo entry (if cached) after an unmap.
-func (s *System) dropMemo(pn addr.PageNum) {
-	slot := int(pn) & (pageMemoSize - 1)
-	if s.memoPN[slot] == pn {
-		s.memoPage[slot] = nil
-	}
 }
 
 func (s *System) account(gps int) {
@@ -227,23 +215,15 @@ func (s *System) DirAddrOf(v addr.Virtual) (addr.Node, addr.DirAddr) {
 	return p.Home, s.g.DirAddrOf(p.DirPage, v)
 }
 
-// ReversePage returns the virtual page mapped to frame f, if any — the
-// backpointer lookup used to reach virtual caches from physical addresses
-// (§2.2.2).
-func (s *System) ReversePage(f addr.Frame) (addr.PageNum, bool) {
-	pn, ok := s.frames[f]
-	return pn, ok
-}
-
 // ReverseTranslate maps a physical address back to its virtual address. It
 // panics on an unmapped frame: the simulator only manufactures physical
 // addresses through Translate, so an unmapped frame is a bookkeeping bug.
 func (s *System) ReverseTranslate(pa addr.Physical) addr.Virtual {
-	pn, ok := s.frames[s.g.FrameOf(pa)]
-	if !ok {
+	p := s.frames.At(uint64(s.g.FrameOf(pa)))
+	if p == nil || *p == nil {
 		panic(fmt.Sprintf("vm: reverse translation of unmapped physical address %#x", uint64(pa)))
 	}
-	return addr.Virtual(uint64(pn)<<s.g.PageBits | uint64(pa)&(s.g.PageSize()-1))
+	return addr.Virtual(uint64((*p).Num)<<s.g.PageBits | uint64(pa)&(s.g.PageSize()-1))
 }
 
 // Preload maps every page of [base, base+bytes) in ascending order, making
@@ -255,7 +235,7 @@ func (s *System) Preload(base addr.Virtual, bytes uint64) {
 	first := s.g.Page(base)
 	last := s.g.Page(base + addr.Virtual(bytes-1))
 	for pn := first; pn <= last; pn++ {
-		if s.pages[pn] == nil {
+		if s.lookup(pn) == nil {
 			s.mapPage(pn)
 		}
 	}

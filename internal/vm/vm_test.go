@@ -351,3 +351,46 @@ func TestUnmapReleasesFrameReverseMapping(t *testing.T) {
 	}()
 	s.ReverseTranslate(pa)
 }
+
+func TestUnmapReturnsRecordAndCounts(t *testing.T) {
+	s := NewSystem(g(), PhysicalRoundRobin)
+	v, w := addr.Virtual(0x5000), addr.Virtual(0x9000)
+	s.Ensure(v)
+	s.SetModified(w)
+	if s.MappedPages() != 2 {
+		t.Fatalf("MappedPages = %d, want 2", s.MappedPages())
+	}
+	p, err := s.Unmap(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Num != g().Page(w) || !p.Modified || p.Frame != 1 {
+		t.Fatalf("unmapped record %+v lost its fields", *p)
+	}
+	if s.MappedPages() != 1 || s.Lookup(w) != nil {
+		t.Fatalf("after unmap: MappedPages %d, Lookup %v", s.MappedPages(), s.Lookup(w))
+	}
+	if got := s.ReverseTranslate(s.Translate(v + 3)); got != v+3 {
+		t.Fatalf("ReverseTranslate of page %d's address = %#x, want %#x", g().Page(v), got, v+3)
+	}
+}
+
+// TestDenseZeroAllocEnsure gates the page-table hot path: Ensure and Lookup
+// of a mapped page, and Lookup of a page whose chunk was never touched,
+// must not allocate.
+func TestDenseZeroAllocEnsure(t *testing.T) {
+	for _, mode := range []Mode{PhysicalRoundRobin, VirtualOnly} {
+		s := NewSystem(g(), mode)
+		v := addr.Virtual(0x5000)
+		s.Ensure(v)
+		var sink *Page
+		if n := testing.AllocsPerRun(1000, func() {
+			sink = s.Ensure(v)
+			sink = s.Lookup(v)
+			sink = s.Lookup(1 << 40)
+		}); n != 0 {
+			t.Fatalf("mode %v: vm.System.Ensure on a mapped page: %v allocs, want 0", mode, n)
+		}
+		_ = sink
+	}
+}
