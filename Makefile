@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSchemesAgree -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzMachine -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzBufferParity -fuzztime 10s ./internal/tlb/
+	$(GO) test -run '^$$' -fuzz FuzzBankParity -fuzztime 10s ./internal/tlb/
 
 # Longer oracle soak over seeded random workloads; failing seeds are written
 # to fuzz-artifacts/ in Go fuzz-corpus format.

@@ -265,6 +265,28 @@ func BenchmarkTLBAccessDM(b *testing.B) {
 	}
 }
 
+// BenchmarkBankAccess feeds the paper's observer grid (7 sizes × FA/DM)
+// one request per op: the per-request cost of an observe pass's bank.
+func BenchmarkBankAccess(b *testing.B) {
+	bank, err := tlb.NewBank(tlb.PaperSpecs(), 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := prng.New(4)
+	pages := make([]uint64, 1024)
+	for i := range pages {
+		pages[i] = rng.Uint64n(256)
+	}
+	for p := 0; p < 256; p++ { // allocate the residency table before timing
+		bank.Access(addr.PageNum(p))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.Access(addr.PageNum(pages[i%len(pages)]))
+	}
+}
+
 func BenchmarkGeneratorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

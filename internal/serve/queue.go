@@ -321,6 +321,11 @@ type Queue struct {
 	// it must not call back into the queue) for every job evicted by load
 	// shedding, so the server can retire it in the journal.
 	OnShed func(*Job)
+	// OnFinish, when set before use, is called by Finish (without locks
+	// held) once the job's trace is closed and before its terminal state
+	// becomes visible, so the server can persist the trace first: a
+	// client that sees the job finished finds its trace files.
+	OnFinish func(*Job)
 
 	mu        sync.Mutex
 	buckets   [numPriorities]*bucket
@@ -549,6 +554,21 @@ func (q *Queue) Next(ctx context.Context) (*Job, error) {
 // Finish retires a running job with its outcome. canceled marks jobs whose
 // every waiter gave up; they are distinguishable from failures.
 func (q *Queue) Finish(j *Job, err error) {
+	j.mu.Lock()
+	state, msg := StateDone, ""
+	switch {
+	case err == nil:
+	case (errors.Is(err, context.Canceled) && j.cancelRequested):
+		state, msg = StateCanceled, "canceled by all waiters"
+	default:
+		state, msg = StateFailed, err.Error()
+	}
+	j.endTraceLocked(state.String())
+	j.mu.Unlock()
+	if q.OnFinish != nil {
+		q.OnFinish(j)
+	}
+
 	q.mu.Lock()
 	delete(q.jobs, j.Key)
 	q.running--
@@ -556,19 +576,9 @@ func (q *Queue) Finish(j *Job, err error) {
 	q.mu.Unlock()
 
 	j.mu.Lock()
-	switch {
-	case err == nil:
-		j.state = StateDone
-	case (errors.Is(err, context.Canceled) && j.cancelRequested):
-		j.state = StateCanceled
-		j.err = "canceled by all waiters"
-	default:
-		j.state = StateFailed
-		j.err = err.Error()
-	}
+	j.state, j.err = state, msg
 	j.cancel = nil
 	j.doneAt = time.Now()
-	j.endTraceLocked(j.state.String())
 	j.notifyLocked()
 	j.mu.Unlock()
 }

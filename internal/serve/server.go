@@ -163,6 +163,7 @@ func New(opts Options) (*Server, error) {
 		draining: make(chan struct{}),
 	}
 	s.metrics = newServerMetrics(s)
+	s.queue.OnFinish = s.writeTrace
 	s.queue.OnShed = func(j *Job) {
 		s.metrics.shed.Add(1)
 		// Journal write deferred out of the queue's critical section is not
@@ -392,7 +393,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.store.Note(j.Key)
 		s.journalRetire(j.Key, "done")
 		s.queue.Finish(j, nil)
-		s.writeTrace(j)
 		jl.Info("job done", "state", StateDone.String(), "cached", cached, "duration", elapsed.Round(time.Millisecond).String())
 		return
 	}
@@ -423,14 +423,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.metrics.canceled.Add(1)
 		s.journalRetire(j.Key, "cancel")
 		s.queue.Finish(j, err)
-		s.writeTrace(j)
 		jl.Warn("job canceled", "duration", elapsed.Round(time.Millisecond).String())
 		return
 	}
 	s.metrics.failed.Add(1)
 	s.journalRetire(j.Key, "fail")
 	s.queue.Finish(j, err)
-	s.writeTrace(j)
 	jl.Error("job failed", "error", err.Error(), "duration", elapsed.Round(time.Millisecond).String())
 }
 

@@ -3,12 +3,14 @@ package tlb
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 
 	"vcoma/internal/addr"
 	"vcoma/internal/config"
+	"vcoma/internal/dense"
 )
 
 // Spec names one buffer configuration inside an observer bank.
@@ -70,30 +72,63 @@ func PaperSpecs() []Spec {
 // that all observe the same translation-request stream. One simulation pass
 // therefore measures every point of a Figure 8/9 curve at once — valid
 // because miss counting does not feed back into the reference stream.
+//
+// One residency table, indexed by page number, holds for each page a mask
+// of the buffers that currently hold it. An access is one lookup: only the
+// buffers whose bit is clear miss, fill the page and clear their victim's
+// bit, so the steady state (every buffer hits) does no per-buffer work.
 type Bank struct {
-	specs   []Spec
-	buffers []Buffer
+	specs []Spec
+	bufs  []bankBuffer
+	res   dense.Table[residency]
+	all   residency // one bit per buffer
+	acc   uint64
+}
+
+// residency is a mask of the buffers of a bank that hold a page: bit i
+// stands for specs[i].
+type residency uint32
+
+// maxBankSpecs is the largest number of specs one bank can hold: one per
+// bit of its residency mask.
+const maxBankSpecs = 32
+
+type bankBuffer struct {
+	frames
+	misses uint64
 }
 
 // NewBank builds one buffer per spec. indexShift and seed are as in New;
 // each buffer gets an independent deterministic replacement stream.
 func NewBank(specs []Spec, indexShift uint, seed uint64) (*Bank, error) {
+	if len(specs) > maxBankSpecs {
+		return nil, fmt.Errorf("tlb: bank of %d specs exceeds the %d its residency mask holds", len(specs), maxBankSpecs)
+	}
 	b := &Bank{specs: append([]Spec(nil), specs...)}
 	for i, sp := range specs {
-		buf, err := New(sp.Entries, sp.Org, indexShift, seed+uint64(i)*0x9E37)
+		f, err := newFrames(sp.Entries, sp.Org, indexShift, seed+uint64(i)*0x9E37)
 		if err != nil {
 			return nil, err
 		}
-		b.buffers = append(b.buffers, buf)
+		b.bufs = append(b.bufs, bankBuffer{frames: f})
+		b.all |= 1 << i
 	}
 	return b, nil
 }
 
 // Access feeds one translation request to every buffer in the bank.
 func (b *Bank) Access(p addr.PageNum) {
-	for _, buf := range b.buffers {
-		buf.Access(p)
+	b.acc++
+	r := b.res.Ensure(uint64(p))
+	for miss := b.all &^ *r; miss != 0; miss &= miss - 1 {
+		i := bits.TrailingZeros32(uint32(miss))
+		buf := &b.bufs[i]
+		buf.misses++
+		if _, old, evicted := buf.fill(p); evicted {
+			*b.res.At(uint64(old)) &^= 1 << i
+		}
 	}
+	*r = b.all
 }
 
 // Specs returns the bank's configuration grid.
@@ -104,7 +139,7 @@ func (b *Bank) Specs() []Spec { return b.specs }
 func (b *Bank) Stats(sp Spec) (Stats, bool) {
 	for i, s := range b.specs {
 		if s == sp {
-			return b.buffers[i].Stats(), true
+			return Stats{Accesses: b.acc, Misses: b.bufs[i].misses}, true
 		}
 	}
 	return Stats{}, false
@@ -113,10 +148,10 @@ func (b *Bank) Stats(sp Spec) (Stats, bool) {
 // Accesses returns the request count seen by the bank (identical for every
 // buffer).
 func (b *Bank) Accesses() uint64 {
-	if len(b.buffers) == 0 {
+	if len(b.bufs) == 0 {
 		return 0
 	}
-	return b.buffers[0].Stats().Accesses
+	return b.acc
 }
 
 // Misses returns the miss count of the buffer matching spec; it panics if

@@ -121,3 +121,94 @@ func countResident(b Buffer, universe []addr.PageNum) int {
 	}
 	return n
 }
+
+// FuzzBankParity checks the residency-mask Bank against one independent
+// buffer per spec, built by New with the bank's per-spec seeds, on random
+// page streams at both index shifts the machine uses (0 for a node's TLB,
+// 5 for a 32-node home DLB):
+//
+//   - every spec's Stats match its reference buffer's after every access;
+//   - the bank's mask agrees with the reference buffers' contents;
+//   - DM inclusion: a page resident in DM-n is resident in DM-2n (bit
+//     selection from one shift, Hill & Smith 1989).
+func FuzzBankParity(f *testing.F) {
+	f.Add(uint64(1), uint64(40), uint64(300))
+	f.Add(uint64(2), uint64(700), uint64(900))
+	f.Add(uint64(3), uint64(1400), uint64(1000))
+	f.Add(uint64(4), uint64(5), uint64(64))
+	f.Fuzz(func(t *testing.T, seed, universeRaw, nRaw uint64) {
+		specs := append(PaperSpecs(),
+			Spec{Entries: 32, Org: config.SetAssoc2},
+			Spec{Entries: 64, Org: config.SetAssoc4})
+		var inclusion [][2]int // bank bits of (DM-n, DM-2n)
+		for i, a := range specs {
+			for j, b := range specs {
+				if a.Org == config.DirectMapped && b.Org == config.DirectMapped && b.Entries == 2*a.Entries {
+					inclusion = append(inclusion, [2]int{i, j})
+				}
+			}
+		}
+		ops := 16 + int(nRaw%1024)
+		for _, shift := range []uint{0, 5} {
+			bank, err := NewBank(specs, shift, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := make([]Buffer, len(specs))
+			for i, sp := range specs {
+				if refs[i], err = New(sp.Entries, sp.Org, shift, seed+uint64(i)*0x9E37); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			rng := prng.New(seed ^ 0xba4c)
+			universe := make([]addr.PageNum, 1+universeRaw%1500)
+			for i := range universe {
+				universe[i] = addr.PageNum(rng.Uint64n(1 << 20))
+			}
+			p := universe[0]
+			for op := 0; op < ops; op++ {
+				if rng.Intn(4) != 0 { // runs of one page, as translation streams have
+					p = universe[rng.Intn(len(universe))]
+				}
+				bank.Access(p)
+				for i, sp := range specs {
+					refs[i].Access(p)
+					if got, want := bank.Misses(sp), refs[i].Stats().Misses; got != want {
+						t.Fatalf("shift %d op %d: %v bank misses %d, reference %d", shift, op, sp, got, want)
+					}
+				}
+				if bank.Accesses() != uint64(op+1) {
+					t.Fatalf("shift %d op %d: bank counted %d accesses", shift, op, bank.Accesses())
+				}
+				for _, q := range universe {
+					for _, pair := range inclusion {
+						if bankHolds(bank, pair[0], q) && !bankHolds(bank, pair[1], q) {
+							t.Fatalf("shift %d op %d: page %#x in %v but not in %v", shift, op, uint64(q), specs[pair[0]], specs[pair[1]])
+						}
+					}
+				}
+				if op%64 == 0 || op == ops-1 {
+					for _, q := range universe {
+						for i, sp := range specs {
+							if bankHolds(bank, i, q) != refs[i].Probe(q) {
+								t.Fatalf("shift %d op %d: %v residency of page %#x: bank %v, reference %v", shift, op, sp, uint64(q), bankHolds(bank, i, q), refs[i].Probe(q))
+							}
+						}
+					}
+				}
+			}
+			for i, sp := range specs {
+				if st, _ := bank.Stats(sp); st != refs[i].Stats() {
+					t.Fatalf("shift %d: %v bank stats %+v, reference %+v", shift, sp, st, refs[i].Stats())
+				}
+			}
+		}
+	})
+}
+
+// bankHolds reports whether bank buffer i holds page p.
+func bankHolds(b *Bank, i int, p addr.PageNum) bool {
+	r := b.res.At(uint64(p))
+	return r != nil && *r&(1<<i) != 0
+}

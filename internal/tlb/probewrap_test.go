@@ -118,11 +118,11 @@ func TestFullyAssocWrapChurnModel(t *testing.T) {
 	}
 	model := map[addr.PageNum]bool{}
 	resident := func() []addr.PageNum {
-		// Mirror of b.slots, maintained through the same replacement
+		// Mirror of the resident pages b.tags[:b.n], maintained through the same replacement
 		// choices b makes (the rng stream is consumed by Access, so we
-		// recompute from b.slots directly — the model checks the index,
+		// recompute from them directly — the model checks the index,
 		// not the replacement policy).
-		return append([]addr.PageNum(nil), b.slots...)
+		return append([]addr.PageNum(nil), b.tags[:b.n]...)
 	}
 	for step := 0; step < 5000; step++ {
 		p := pop[(step*2654435761)%len(pop)]
@@ -158,8 +158,8 @@ func TestFullyAssocWrapChurnModel(t *testing.T) {
 				occupied++
 			}
 		}
-		if occupied != len(b.slots) {
-			t.Fatalf("step %d: %d occupied index cells for %d resident pages", step, occupied, len(b.slots))
+		if occupied != b.n {
+			t.Fatalf("step %d: %d occupied index cells for %d resident pages", step, occupied, b.n)
 		}
 	}
 }

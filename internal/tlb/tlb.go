@@ -6,8 +6,10 @@
 //
 // The paper's default organization is fully associative with random
 // replacement (§5.1); direct-mapped variants are the "/DM" systems of
-// Figure 9. An ObserverBank measures many sizes and organizations from a
-// single simulated request stream (Figures 8 and 9, Tables 2 and 3).
+// Figure 9. A Bank measures many sizes and organizations from a single
+// simulated request stream (Figures 8 and 9, Tables 2 and 3): a per-page
+// mask of the buffers holding the page answers all of them with one lookup,
+// and only the buffers that miss do replacement work.
 package tlb
 
 import (
@@ -54,29 +56,128 @@ type Buffer interface {
 }
 
 // New builds a buffer of the given size and organization. indexShift is the
-// number of low page-number bits skipped when computing a direct-mapped
-// index: 0 for a private TLB; the node-bit count for a home-node DLB, whose
-// resident pages all share their low (home) bits and would otherwise collide
-// into a single set.
+// number of low page-number bits skipped when computing a set index: 0 for
+// a private TLB; the node-bit count for a home-node DLB, whose resident
+// pages all share their low (home) bits and would otherwise collide into a
+// single set.
 func New(entries int, org config.TLBOrg, indexShift uint, seed uint64) (Buffer, error) {
+	f, err := newFrames(entries, org, indexShift, seed)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case f.fa:
+		return newFullyAssoc(f), nil
+	case f.ways == 1:
+		return &DirectMapped{frames: f}, nil
+	default:
+		return &SetAssoc{frames: f}, nil
+	}
+}
+
+// frames is a buffer's entries and its replacement rule, without a
+// residency index. Entries form sets of ways, set-major: a fully
+// associative buffer is one set of every entry, a direct-mapped one has
+// one-entry sets. The standalone buffers and Bank share it, so each
+// organization's victim choice lives in fill alone.
+type frames struct {
+	tags    []addr.PageNum
+	valid   []bool // set organizations; FA's valid entries are tags[:n]
+	n       int    // FA: entries filled so far
+	fa      bool
+	ways    int
+	setMask uint64 // sets - 1
+	shift   uint
+	rng     *prng.Source // nil for direct mapped
+}
+
+// newFrames validates a buffer configuration and returns its empty entries.
+func newFrames(entries int, org config.TLBOrg, indexShift uint, seed uint64) (frames, error) {
 	if entries <= 0 {
-		return nil, fmt.Errorf("tlb: need at least one entry, got %d", entries)
+		return frames{}, fmt.Errorf("tlb: need at least one entry, got %d", entries)
 	}
 	switch org {
 	case config.FullyAssoc:
-		return NewFullyAssoc(entries, seed), nil
+		return frames{tags: make([]addr.PageNum, entries), fa: true, ways: entries, rng: prng.New(seed)}, nil
 	case config.DirectMapped:
 		if entries&(entries-1) != 0 {
-			return nil, fmt.Errorf("tlb: direct-mapped size %d not a power of two", entries)
+			return frames{}, fmt.Errorf("tlb: direct-mapped size %d not a power of two", entries)
 		}
-		return NewDirectMapped(entries, indexShift), nil
+		return setFrames(entries, 1, indexShift, nil), nil
 	case config.SetAssoc2:
-		return NewSetAssoc(entries, 2, indexShift, seed)
+		return newSetFrames(entries, 2, indexShift, seed)
 	case config.SetAssoc4:
-		return NewSetAssoc(entries, 4, indexShift, seed)
+		return newSetFrames(entries, 4, indexShift, seed)
 	default:
-		return nil, fmt.Errorf("tlb: unknown organization %v", org)
+		return frames{}, fmt.Errorf("tlb: unknown organization %v", org)
 	}
+}
+
+func newSetFrames(entries, ways int, indexShift uint, seed uint64) (frames, error) {
+	if entries <= 0 || entries&(entries-1) != 0 {
+		return frames{}, fmt.Errorf("tlb: set-assoc size %d not a power of two", entries)
+	}
+	if ways <= 0 || ways > entries || entries%ways != 0 {
+		return frames{}, fmt.Errorf("tlb: %d ways invalid for %d entries", ways, entries)
+	}
+	return setFrames(entries, ways, indexShift, prng.New(seed)), nil
+}
+
+func setFrames(entries, ways int, indexShift uint, rng *prng.Source) frames {
+	return frames{
+		tags:    make([]addr.PageNum, entries),
+		valid:   make([]bool, entries),
+		ways:    ways,
+		setMask: uint64(entries/ways - 1),
+		shift:   indexShift,
+		rng:     rng,
+	}
+}
+
+// setBase returns the first entry of p's set: bit selection from the page
+// number after the index shift.
+func (f *frames) setBase(p addr.PageNum) int {
+	return int((uint64(p)>>f.shift)&f.setMask) * f.ways
+}
+
+// fill stores page p, which the caller knows is absent, and returns the
+// entry it took and the page it evicted, if any. The victim rule (§5.1):
+// a fully associative buffer fills its entries in order, then replaces one
+// drawn at random; a set fills its first invalid way, then replaces a
+// random way — a direct-mapped set has one way and draws nothing.
+func (f *frames) fill(p addr.PageNum) (i int, old addr.PageNum, evicted bool) {
+	switch {
+	case f.fa:
+		if f.n < len(f.tags) {
+			i = f.n
+			f.n++
+		} else {
+			i = f.rng.Intn(len(f.tags))
+			old, evicted = f.tags[i], true
+		}
+	case f.ways == 1:
+		i = f.setBase(p)
+		old, evicted = f.tags[i], f.valid[i]
+		f.valid[i] = true
+	default:
+		base := f.setBase(p)
+		end := base + f.ways
+		for i = base; i < end && f.valid[i]; i++ {
+		}
+		if i == end {
+			i = base + f.rng.Intn(f.ways)
+			old, evicted = f.tags[i], true
+		}
+		f.valid[i] = true
+	}
+	f.tags[i] = p
+	return i, old, evicted
+}
+
+// flush empties every entry.
+func (f *frames) flush() {
+	f.n = 0
+	clear(f.valid)
 }
 
 // FullyAssoc is a fully-associative buffer with random replacement.
@@ -84,14 +185,11 @@ func New(entries int, org config.TLBOrg, indexShift uint, seed uint64) (Buffer, 
 // The residency index is a flat open-addressed table (linear probing,
 // backward-shift deletion) instead of a Go map, and the most recent hit is
 // memoized: translation streams repeat the same page in bursts, so the
-// common case is one compare. Replacement state (slots, victim choice, rng
-// stream) is unchanged from the map-based version — the contents, stats,
-// and eviction sequence are bit-identical.
+// common case is one compare. The resident pages are tags[:n]; Invalidate
+// keeps them a prefix by moving the last one into the hole.
 type FullyAssoc struct {
-	capacity int
-	slots    []addr.PageNum
-	rng      *prng.Source
-	stats    Stats
+	frames
+	stats Stats
 
 	memo   addr.PageNum // last page that hit or filled
 	memoOK bool
@@ -107,17 +205,23 @@ type FullyAssoc struct {
 // NewFullyAssoc returns a fully-associative buffer with the given capacity,
 // using a deterministic random replacement stream derived from seed.
 func NewFullyAssoc(entries int, seed uint64) *FullyAssoc {
+	f, err := newFrames(entries, config.FullyAssoc, 0, seed)
+	if err != nil {
+		panic(err)
+	}
+	return newFullyAssoc(f)
+}
+
+func newFullyAssoc(f frames) *FullyAssoc {
 	tab := 8
-	for tab < 2*entries {
+	for tab < 2*len(f.tags) {
 		tab *= 2
 	}
 	b := &FullyAssoc{
-		capacity: entries,
-		slots:    make([]addr.PageNum, 0, entries),
-		rng:      prng.New(seed),
-		keys:     make([]addr.PageNum, tab),
-		slotOf:   make([]int32, tab),
-		mask:     uint64(tab - 1),
+		frames: f,
+		keys:   make([]addr.PageNum, tab),
+		slotOf: make([]int32, tab),
+		mask:   uint64(tab - 1),
 	}
 	for i := range b.slotOf {
 		b.slotOf[i] = -1
@@ -190,18 +294,11 @@ func (b *FullyAssoc) Access(p addr.PageNum) bool {
 		return true
 	}
 	b.stats.Misses++
-	if len(b.slots) < b.capacity {
-		b.indexPut(p, len(b.slots))
-		b.slots = append(b.slots, p)
-		b.memo, b.memoOK = p, true
-		return false
+	s, old, evicted := b.fill(p)
+	if evicted {
+		b.indexDelete(b.find(old))
 	}
-	victim := b.rng.Intn(b.capacity)
-	if i := b.find(b.slots[victim]); i >= 0 {
-		b.indexDelete(i)
-	}
-	b.slots[victim] = p
-	b.indexPut(p, victim)
+	b.indexPut(p, s)
 	b.memo, b.memoOK = p, true
 	return false
 }
@@ -221,18 +318,17 @@ func (b *FullyAssoc) Invalidate(p addr.PageNum) {
 		b.memoOK = false
 	}
 	s := int(b.slotOf[i])
-	last := len(b.slots) - 1
+	b.n--
 	b.indexDelete(i)
-	if s != last {
-		b.slots[s] = b.slots[last]
-		b.indexPut(b.slots[s], s)
+	if s != b.n {
+		b.tags[s] = b.tags[b.n]
+		b.indexPut(b.tags[s], s)
 	}
-	b.slots = b.slots[:last]
 }
 
 // Flush implements Buffer.
 func (b *FullyAssoc) Flush() {
-	b.slots = b.slots[:0]
+	b.flush()
 	b.memoOK = false
 	for i := range b.slotOf {
 		b.slotOf[i] = -1
@@ -243,15 +339,12 @@ func (b *FullyAssoc) Flush() {
 func (b *FullyAssoc) Stats() Stats { return b.stats }
 
 // Entries implements Buffer.
-func (b *FullyAssoc) Entries() int { return b.capacity }
+func (b *FullyAssoc) Entries() int { return len(b.tags) }
 
 // DirectMapped is a direct-mapped buffer indexed by low page-number bits
 // (after indexShift).
 type DirectMapped struct {
-	mask  uint64
-	shift uint
-	tags  []addr.PageNum
-	valid []bool
+	frames
 	stats Stats
 }
 
@@ -259,51 +352,35 @@ type DirectMapped struct {
 // (a power of two), indexing with page-number bits [indexShift,
 // indexShift+log2(entries)).
 func NewDirectMapped(entries int, indexShift uint) *DirectMapped {
-	return &DirectMapped{
-		mask:  uint64(entries - 1),
-		shift: indexShift,
-		tags:  make([]addr.PageNum, entries),
-		valid: make([]bool, entries),
-	}
-}
-
-func (b *DirectMapped) slot(p addr.PageNum) int {
-	return int((uint64(p) >> b.shift) & b.mask)
+	return &DirectMapped{frames: setFrames(entries, 1, indexShift, nil)}
 }
 
 // Access implements Buffer.
 func (b *DirectMapped) Access(p addr.PageNum) bool {
 	b.stats.Accesses++
-	i := b.slot(p)
-	if b.valid[i] && b.tags[i] == p {
+	if b.Probe(p) {
 		return true
 	}
 	b.stats.Misses++
-	b.tags[i] = p
-	b.valid[i] = true
+	b.fill(p)
 	return false
 }
 
 // Probe implements Buffer.
 func (b *DirectMapped) Probe(p addr.PageNum) bool {
-	i := b.slot(p)
+	i := b.setBase(p)
 	return b.valid[i] && b.tags[i] == p
 }
 
 // Invalidate implements Buffer.
 func (b *DirectMapped) Invalidate(p addr.PageNum) {
-	i := b.slot(p)
-	if b.valid[i] && b.tags[i] == p {
+	if i := b.setBase(p); b.valid[i] && b.tags[i] == p {
 		b.valid[i] = false
 	}
 }
 
 // Flush implements Buffer.
-func (b *DirectMapped) Flush() {
-	for i := range b.valid {
-		b.valid[i] = false
-	}
-}
+func (b *DirectMapped) Flush() { b.flush() }
 
 // Stats implements Buffer.
 func (b *DirectMapped) Stats() Stats { return b.stats }
@@ -315,90 +392,54 @@ func (b *DirectMapped) Entries() int { return len(b.tags) }
 // generalizing the two organizations above; it backs ablation studies of
 // intermediate associativities.
 type SetAssoc struct {
-	ways  int
-	mask  uint64
-	shift uint
-	tags  []addr.PageNum // sets*ways, set-major
-	valid []bool
-	rng   *prng.Source
+	frames
 	stats Stats
 }
 
 // NewSetAssoc returns a set-associative buffer with the given total entries
 // (power of two) and ways (power of two dividing entries).
 func NewSetAssoc(entries, ways int, indexShift uint, seed uint64) (*SetAssoc, error) {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("tlb: set-assoc size %d not a power of two", entries)
+	f, err := newSetFrames(entries, ways, indexShift, seed)
+	if err != nil {
+		return nil, err
 	}
-	if ways <= 0 || ways > entries || entries%ways != 0 {
-		return nil, fmt.Errorf("tlb: %d ways invalid for %d entries", ways, entries)
-	}
-	sets := entries / ways
-	return &SetAssoc{
-		ways:  ways,
-		mask:  uint64(sets - 1),
-		shift: indexShift,
-		tags:  make([]addr.PageNum, entries),
-		valid: make([]bool, entries),
-		rng:   prng.New(seed),
-	}, nil
+	return &SetAssoc{frames: f}, nil
 }
 
-func (b *SetAssoc) setBase(p addr.PageNum) int {
-	return int((uint64(p)>>b.shift)&b.mask) * b.ways
+// find returns the entry holding p, or -1.
+func (b *SetAssoc) find(p addr.PageNum) int {
+	base := b.setBase(p)
+	for i := base; i < base+b.ways; i++ {
+		if b.valid[i] && b.tags[i] == p {
+			return i
+		}
+	}
+	return -1
 }
 
 // Access implements Buffer.
 func (b *SetAssoc) Access(p addr.PageNum) bool {
 	b.stats.Accesses++
-	base := b.setBase(p)
-	free := -1
-	for i := base; i < base+b.ways; i++ {
-		if b.valid[i] {
-			if b.tags[i] == p {
-				return true
-			}
-		} else if free < 0 {
-			free = i
-		}
+	if b.find(p) >= 0 {
+		return true
 	}
 	b.stats.Misses++
-	if free < 0 {
-		free = base + b.rng.Intn(b.ways)
-	}
-	b.tags[free] = p
-	b.valid[free] = true
+	b.fill(p)
 	return false
 }
 
 // Probe implements Buffer.
-func (b *SetAssoc) Probe(p addr.PageNum) bool {
-	base := b.setBase(p)
-	for i := base; i < base+b.ways; i++ {
-		if b.valid[i] && b.tags[i] == p {
-			return true
-		}
-	}
-	return false
-}
+func (b *SetAssoc) Probe(p addr.PageNum) bool { return b.find(p) >= 0 }
 
 // Invalidate implements Buffer.
 func (b *SetAssoc) Invalidate(p addr.PageNum) {
-	base := b.setBase(p)
-	for i := base; i < base+b.ways; i++ {
-		if b.valid[i] && b.tags[i] == p {
-			b.valid[i] = false
-			return
-		}
+	if i := b.find(p); i >= 0 {
+		b.valid[i] = false
 	}
 }
 
 // Flush implements Buffer.
-func (b *SetAssoc) Flush() {
-	for i := range b.valid {
-		b.valid[i] = false
-	}
-}
+func (b *SetAssoc) Flush() { b.flush() }
 
 // Stats implements Buffer.
 func (b *SetAssoc) Stats() Stats { return b.stats }

@@ -6,6 +6,7 @@ import (
 
 	"vcoma/internal/addr"
 	"vcoma/internal/config"
+	"vcoma/internal/prng"
 )
 
 func TestFullyAssocBasics(t *testing.T) {
@@ -231,6 +232,51 @@ func TestBank(t *testing.T) {
 	}
 	if _, ok := b.Stats(Spec{Entries: 99, Org: config.FullyAssoc}); ok {
 		t.Fatal("unknown spec found")
+	}
+}
+
+func TestNewBankRejectsMoreSpecsThanMaskBits(t *testing.T) {
+	specs := make([]Spec, maxBankSpecs+1)
+	for i := range specs {
+		specs[i] = Spec{Entries: 1 << (i % 8), Org: config.DirectMapped}
+	}
+	if _, err := NewBank(specs[:maxBankSpecs], 0, 1); err != nil {
+		t.Fatalf("bank of %d specs: %v", maxBankSpecs, err)
+	}
+	if _, err := NewBank(specs, 0, 1); err == nil {
+		t.Fatalf("bank of %d specs accepted", len(specs))
+	}
+}
+
+// TestDenseZeroAllocBank gates the observer bank's hot path: once every
+// page of the working set has been touched, Access must not allocate, on
+// hits and misses alike.
+func TestDenseZeroAllocBank(t *testing.T) {
+	b, err := NewBank(PaperSpecs(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := prng.New(5)
+	pages := make([]addr.PageNum, 4096)
+	for i := range pages {
+		pages[i] = addr.PageNum(rng.Uint64n(2048)) // overflows every size, so misses continue
+	}
+	for p := addr.PageNum(0); p < 2048; p++ {
+		b.Access(p)
+	}
+	big := Spec{Entries: 512, Org: config.FullyAssoc}
+	missesBefore := b.Misses(big)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		for k := 0; k < 64; k++ {
+			b.Access(pages[i%len(pages)])
+			i++
+		}
+	}); n != 0 {
+		t.Fatalf("tlb.Bank.Access on a warmed working set: %v allocs, want 0", n)
+	}
+	if b.Misses(big) == missesBefore {
+		t.Fatal("no misses in the measured accesses; the gate covered hits only")
 	}
 }
 

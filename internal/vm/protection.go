@@ -76,13 +76,9 @@ func (s *System) Unmap(v addr.Virtual) (*Page, error) {
 	p.mapped = false
 	*slot = Page{}
 	s.npages--
-	gps := s.g.GlobalPageSet(pn)
-	if s.mode == PhysicalRoundRobin {
-		gps = s.g.GlobalPageSetOfFrame(p.Frame)
-	}
 	if s.mode != VirtualOnly {
 		*s.frames.At(uint64(p.Frame)) = nil
 	}
-	s.gpsPages[gps]--
+	s.slots[s.gpsOf(&p)].release(p.Slot)
 	return &p, nil
 }

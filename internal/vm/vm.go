@@ -13,6 +13,8 @@ package vm
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"vcoma/internal/addr"
 	"vcoma/internal/dense"
@@ -92,10 +94,10 @@ type System struct {
 
 	nextFrame addr.Frame // PhysicalRoundRobin allocation cursor
 
-	// gpsPages counts pages resident per global page set (by the set that
-	// governs attraction-memory placement: the frame's set in physical
-	// mode, the virtual page's set otherwise).
-	gpsPages []int
+	// slots holds the page-slot state of each global page set (by the set
+	// that governs attraction-memory placement: the frame's set in
+	// physical mode, the virtual page's set otherwise).
+	slots []slotSet
 	// gpsOverflow counts allocations that exceeded a global page set's
 	// P*K slots — pressure saturation that would force a swap-out in a
 	// real system (§4.3).
@@ -113,7 +115,7 @@ func NewSystem(g addr.Geometry, mode Mode) *System {
 	return &System{
 		g:           g,
 		mode:        mode,
-		gpsPages:    make([]int, g.GlobalPageSets()),
+		slots:       make([]slotSet, g.GlobalPageSets()),
 		gpsOverflow: make([]int, g.GlobalPageSets()),
 		dirPages:    make([]int, g.Nodes()),
 	}
@@ -161,25 +163,20 @@ func (s *System) mapPage(pn addr.PageNum) *Page {
 		p.Frame = s.nextFrame
 		s.nextFrame++
 		p.Home = s.g.HomeNodeOfFrame(p.Frame)
-		gps := s.g.GlobalPageSetOfFrame(p.Frame)
-		p.Slot = s.gpsPages[gps]
-		s.account(gps)
+		p.Slot = s.takeSlot(s.g.GlobalPageSetOfFrame(p.Frame))
 	case Colored:
 		gps := s.g.GlobalPageSet(pn)
-		p.Slot = s.gpsPages[gps]
+		p.Slot = s.takeSlot(gps)
 		// Frame = slot in the MSBs, colour in the LSBs (Figure 4), so the
 		// physical address indexes the same attraction-memory set as the
 		// virtual address.
 		p.Frame = addr.Frame(uint64(p.Slot)<<s.g.GlobalPageSetBits() | uint64(gps))
 		p.Home = s.g.HomeNodeOfPage(pn)
-		s.account(gps)
 	case VirtualOnly:
-		gps := s.g.GlobalPageSet(pn)
-		p.Slot = s.gpsPages[gps]
+		p.Slot = s.takeSlot(s.g.GlobalPageSet(pn))
 		p.Home = s.g.HomeNodeOfPage(pn)
 		p.DirPage = s.dirPages[p.Home]
 		s.dirPages[p.Home]++
-		s.account(gps)
 	}
 	if s.mode != VirtualOnly {
 		*s.frames.Ensure(uint64(p.Frame)) = p
@@ -187,11 +184,51 @@ func (s *System) mapPage(pn addr.PageNum) *Page {
 	return p
 }
 
-func (s *System) account(gps int) {
-	s.gpsPages[gps]++
-	if s.gpsPages[gps] > s.g.PageSlotsPerGlobalSet() {
+// takeSlot hands out the lowest free slot of global page set gps, counting
+// an overflow when the set then holds more than its P*K slots.
+func (s *System) takeSlot(gps int) int {
+	set := &s.slots[gps]
+	slot := set.take()
+	if set.live() > s.g.PageSlotsPerGlobalSet() {
 		s.gpsOverflow[gps]++
 	}
+	return slot
+}
+
+// gpsOf returns the global page set whose slot p holds.
+func (s *System) gpsOf(p *Page) int {
+	if s.mode == PhysicalRoundRobin {
+		return s.g.GlobalPageSetOfFrame(p.Frame)
+	}
+	return s.g.GlobalPageSet(p.Num)
+}
+
+// slotSet is the page-slot state of one global page set: slots [0, next)
+// have been handed out, and free holds those of them released since, in
+// descending order. A mapping takes the lowest free slot, so a set that
+// never loses a page hands out 0, 1, 2, ... and a freed slot is reused
+// before a new one, never shared.
+type slotSet struct {
+	next int
+	free []int
+}
+
+// live returns the number of slots in use.
+func (ss *slotSet) live() int { return ss.next - len(ss.free) }
+
+func (ss *slotSet) take() int {
+	if n := len(ss.free); n > 0 {
+		slot := ss.free[n-1]
+		ss.free = ss.free[:n-1]
+		return slot
+	}
+	ss.next++
+	return ss.next - 1
+}
+
+func (ss *slotSet) release(slot int) {
+	i := sort.Search(len(ss.free), func(i int) bool { return ss.free[i] < slot })
+	ss.free = slices.Insert(ss.free, i, slot)
 }
 
 // Translate maps a virtual address to its physical address, mapping the page
@@ -251,13 +288,7 @@ func (s *System) Preload(base addr.Virtual, bytes uint64) {
 // at their homes would leave all but 1/P of each node's sets empty.
 func (s *System) PlacementNode(v addr.Virtual) addr.Node {
 	p := s.Ensure(v)
-	var gps int
-	if s.mode == PhysicalRoundRobin {
-		gps = s.g.GlobalPageSetOfFrame(p.Frame)
-	} else {
-		gps = s.g.GlobalPageSet(p.Num)
-	}
-	return addr.Node((p.Slot + gps) % s.g.Nodes())
+	return addr.Node((p.Slot + s.gpsOf(p)) % s.g.Nodes())
 }
 
 // SetReferenced marks v's page referenced.
@@ -271,9 +302,9 @@ func (s *System) SetModified(v addr.Virtual) { s.Ensure(v).Modified = true }
 // indicate saturation (overflow allocations).
 func (s *System) PressureProfile() []float64 {
 	cap := float64(s.g.PageSlotsPerGlobalSet())
-	out := make([]float64, len(s.gpsPages))
-	for i, n := range s.gpsPages {
-		out[i] = float64(n) / cap
+	out := make([]float64, len(s.slots))
+	for i := range s.slots {
+		out[i] = float64(s.slots[i].live()) / cap
 	}
 	return out
 }
@@ -290,7 +321,11 @@ func (s *System) OverflowCount() int {
 
 // PagesPerGlobalSet returns a copy of the per-set resident page counts.
 func (s *System) PagesPerGlobalSet() []int {
-	return append([]int(nil), s.gpsPages...)
+	out := make([]int, len(s.slots))
+	for i := range s.slots {
+		out[i] = s.slots[i].live()
+	}
+	return out
 }
 
 // DirPagesAt returns how many directory pages have been allocated at home

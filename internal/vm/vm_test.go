@@ -337,6 +337,56 @@ func TestUnmapFreesSlot(t *testing.T) {
 	}
 }
 
+// TestRemapAfterUnmapNeverAliases maps three same-colour pages on the paper
+// geometry, unmaps the first and maps a fourth: the fourth must reuse the
+// freed slot, so no two live pages share a frame or a (set, slot) pair, and
+// the frame reverse map still names every live page. A slot taken from the
+// set's live count instead hands the fourth page the third one's frame.
+func TestRemapAfterUnmapNeverAliases(t *testing.T) {
+	geo := paperG()
+	gps := geo.GlobalPageSets()
+	for _, mode := range []Mode{PhysicalRoundRobin, Colored, VirtualOnly} {
+		s := NewSystem(geo, mode)
+		va := func(i int) addr.Virtual { return addr.Virtual(uint64(7+i*gps) << geo.PageBits) }
+		for i := 0; i < 3; i++ {
+			s.Ensure(va(i))
+		}
+		freed := s.Lookup(va(0)).Slot
+		if _, err := s.Unmap(va(0)); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		// Same colour, so outside physical mode (where the frame picks the
+		// set) the fourth page lands in the freed page's set.
+		if got := s.Ensure(va(3)).Slot; mode != PhysicalRoundRobin && got != freed {
+			t.Fatalf("mode %v: fourth page took slot %d, want the freed slot %d", mode, got, freed)
+		}
+		type setSlot struct{ set, slot int }
+		slots := map[setSlot]int{}
+		frames := map[addr.Frame]int{}
+		for i := 1; i <= 3; i++ {
+			p := s.Lookup(va(i))
+			key := setSlot{s.gpsOf(p), p.Slot}
+			if j, dup := slots[key]; dup {
+				t.Fatalf("mode %v: pages %d and %d share set %d slot %d", mode, j, i, key.set, key.slot)
+			}
+			slots[key] = i
+			if mode == VirtualOnly {
+				continue
+			}
+			if j, dup := frames[p.Frame]; dup {
+				t.Fatalf("mode %v: pages %d and %d share frame %d", mode, j, i, p.Frame)
+			}
+			frames[p.Frame] = i
+			if got := s.ReverseTranslate(s.Translate(va(i) + 5)); got != va(i)+5 {
+				t.Fatalf("mode %v: frame %d reverse-maps to %#x, want page %d at %#x", mode, p.Frame, uint64(got), i, uint64(va(i)+5))
+			}
+		}
+		if n := s.PagesPerGlobalSet()[s.gpsOf(s.Lookup(va(3)))]; mode != PhysicalRoundRobin && n != 3 {
+			t.Fatalf("mode %v: set holds %d live pages, want 3", mode, n)
+		}
+	}
+}
+
 func TestUnmapReleasesFrameReverseMapping(t *testing.T) {
 	s := NewSystem(g(), PhysicalRoundRobin)
 	v := addr.Virtual(0x5000)
